@@ -58,7 +58,6 @@ from .triplet import (
     make_states,
     make_triplet,
     phase_slope,
-    pole_positions,
     sweep_phi,
     total_phase_continuous,
 )

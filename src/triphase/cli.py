@@ -40,6 +40,10 @@ from .eraser import (
 from .triplet import GridTooCoarse, PhaseCurve, TripletParams, make_triplet, sweep_phi
 
 
+_MAX_PHI_COUNT = 10**6
+_MAX_NOISE_PHOTONS = 1e15
+
+
 class ValidationError(ValueError):
     """Bad command parameter; the message names the offending field."""
 
@@ -57,8 +61,10 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         count = int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"phi: {exc}") from None
-    if count < 3:
-        raise ValidationError(f"phi: count must be >= 3, got {count}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"phi: start and stop must be finite, got {text!r}")
+    if not 3 <= count <= _MAX_PHI_COUNT:
+        raise ValidationError(f"phi: count must lie in [3, {_MAX_PHI_COUNT}], got {count}")
     if not stop > start:
         raise ValidationError(f"phi: stop must exceed start, got {text!r}")
     return start, stop, count
@@ -161,8 +167,10 @@ def cmd_fringe(args) -> int:
     phi = _check_angle("phi", phi, 0.0, 360.0, allow_lo=True)
     if args.delta_steps < 3:
         raise ValidationError(f"delta-steps: must be >= 3, got {args.delta_steps}")
-    if args.noise_photons is not None and args.noise_photons <= 0:
-        raise ValidationError(f"noise-photons: must be positive, got {args.noise_photons}")
+    if args.noise_photons is not None and not 0.0 < args.noise_photons <= _MAX_NOISE_PHOTONS:
+        raise ValidationError(
+            f"noise-photons: must lie in (0, {_MAX_NOISE_PHOTONS:g}], got {args.noise_photons}"
+        )
 
     s1, s2, s3 = make_triplet(TripletParams(theta, chi, phi))
     if max(abs(qutrit_inner(s3, s1)), abs(qutrit_inner(s3, s2))) < 1e-12:

@@ -1,7 +1,7 @@
 """Parametrized standard-triplet family of two-photon polarization qutrits.
 
 Provides the family's four constituent qubit states, the analytic phase
-formulas and their continuous (branch-tracked) extension, adaptive sweeps
+formulas and their continuous (branch-tracked) extension, closed-form sweeps
 over the rotation angle with jump diagnostics, and circular least-squares
 offset fitting of measured phase data against a theory curve.
 
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.signal import find_peaks
 
 from .core import QubitState, SymmetricState, symmetrize, wrap_angle
 
@@ -26,7 +24,7 @@ TWO_PI = 2.0 * math.pi
 
 
 class GridTooCoarse(RuntimeError):
-    """Adaptive refinement hit the depth limit without resolving the curve."""
+    """A sweep step of pi/2 or more is left after the level crossings are inserted."""
 
 
 class InsufficientData(ValueError):
@@ -101,19 +99,6 @@ def analytic_total_phase(theta_deg, chi_deg, phi_deg):
     )
 
 
-def pole_positions(chi_deg: float, lo: float, hi: float) -> list[float]:
-    """Distinct branch-pole locations of the analytic formulas in [lo, hi] (degrees)."""
-    out = set()
-    for p0 in (180.0 - chi_deg / 2.0, 180.0 + chi_deg / 2.0):
-        k0 = math.ceil((lo - p0) / 360.0 - 1e-12)
-        k1 = math.floor((hi - p0) / 360.0 + 1e-12)
-        for k in range(k0, k1 + 1):
-            pos = p0 + 360.0 * k
-            if lo - 1e-9 <= pos <= hi + 1e-9:
-                out.add(pos)
-    return sorted(out)
-
-
 def _pole_crossings(phi_deg, p0: float):
     """Signed count of poles p0 + 360k strictly between 0 and phi (vectorized)."""
     phi = np.asarray(phi_deg, dtype=float)
@@ -178,162 +163,123 @@ class PhaseCurve:
         return float(self.gamma_rad[-1] - self.gamma_rad[0])
 
 
-def _seed_points(theta_deg: float, chi_deg: float, lo: float, hi: float) -> np.ndarray:
-    """Extra samples clustered around each formula pole.
+def _phi_at_level(theta_deg: float, chi_deg: float, level) -> np.ndarray:
+    """Where the continuous curve takes the value ``level`` (rad), in degrees.
 
-    A coarse user grid can alias a steep jump (the wrapped step looks small);
-    seeding the pole neighborhoods at the jump's own width scale guarantees
-    the unwrapper sees the full descent.
+    With kappa = cos(theta) cos(chi/2) the curve is gamma = -2 arg z, where
+    z = kappa + cos(phi) + i sin(theta) sin(phi) traces an ellipse around the
+    origin.  A level fixes the ray arg z = psi = -level/2; the ray meets the
+    ellipse where sin(theta) cos(psi) sin(phi) - sin(psi) cos(phi) =
+    kappa sin(psi), at the root of positive radius.  arg z and phi share
+    their half-plane, so the continuous branch is the copy within pi of psi.
+    Vectorized over ``level``.
     """
-    width_deg = math.degrees(math.tan(math.radians(theta_deg) / 2.0))
-    width_deg = min(max(width_deg, 1e-12), 45.0)
-    offsets = width_deg * np.geomspace(1e-3, 64.0, 20)
-    pts = []
-    for pole in pole_positions(chi_deg, lo, hi):
-        pts.append(pole)
-        pts.extend(pole + offsets)
-        pts.extend(pole - offsets)
-    pts = [x for x in pts if lo <= x <= hi]
-    return np.asarray(pts, dtype=float)
+    th = math.radians(theta_deg)
+    kappa = math.cos(th) * math.cos(math.radians(chi_deg) / 2.0)
+    psi = -0.5 * np.asarray(level, dtype=float)
+    a, b = math.sin(th) * np.cos(psi), -np.sin(psi)
+    # a sin(phi) + b cos(phi) = hypot(a, b) sin(phi + atan2(b, a))
+    base = np.arcsin(np.clip(kappa * np.sin(psi) / np.hypot(a, b), -1.0, 1.0))
+    roots = np.stack([base, math.pi - base]) - np.arctan2(b, a)
+    radius = (kappa + np.cos(roots)) * np.cos(psi) + math.sin(th) * np.sin(roots) * np.sin(psi)
+    phi = np.where(radius[0] >= radius[1], roots[0], roots[1])
+    return np.degrees(phi + TWO_PI * np.round((psi - phi) / TWO_PI))
 
 
-def _unwrap(values: np.ndarray) -> np.ndarray:
-    steps = wrap_angle(np.diff(values))
-    return values[0] + np.concatenate([[0.0], np.cumsum(steps)])
+def _detect_jumps(theta_deg: float, chi_deg: float, lo: float, hi: float) -> list[PhaseJump]:
+    """Every strict local maximum of |slope| in the range, with its rise and width.
 
+    |slope| = 2 sin(theta) (1 + kappa u) / |z|^2 (see _phi_at_level) depends
+    on phi only through u = cos(phi), and its u-derivative has the sign of
+    -q(u), q(u) = kappa c2 u^2 + 2 c2 u + kappa (1 + c2 - kappa^2) with
+    c2 = cos^2(theta).  q' = 2 c2 (1 + kappa u) > 0 on [-1, 1], so |slope|
+    peaks at phi = +-acos(u0), u0 being the root of q there, clipped to -1
+    (q(-1) >= 0) or 1 (q(1) <= 0): two jumps symmetric about 180 degrees, or
+    one merged jump at 0 or 180.
+    """
+    th = math.radians(theta_deg)
+    c2 = math.cos(th) ** 2
+    kappa = math.cos(th) * math.cos(math.radians(chi_deg) / 2.0)
+    c0 = kappa * (1.0 + c2 - kappa * kappa)
+    if kappa * c2 - 2.0 * c2 + c0 >= 0.0:
+        u0 = -1.0
+    elif kappa * c2 + 2.0 * c2 + c0 <= 0.0:
+        u0 = 1.0
+    else:  # the root of smaller magnitude, in a cancellation-free form
+        u0 = -c0 / (c2 + math.sqrt(c2 * (c2 - kappa * c0)))
+    peak = math.degrees(math.acos(u0))
+    mag = -np.asarray(phase_slope(theta_deg, chi_deg, [peak, 0.0, 180.0]))
+    if mag[0] - mag[1:].min() < 0.05 * mag[0]:
+        return []  # slope is essentially uniform; no localized jumps
 
-def _detect_jumps(theta_deg: float, chi_deg: float, nodes: np.ndarray) -> list[PhaseJump]:
-    lo, hi = float(nodes[0]), float(nodes[-1])
     span = hi - lo
     periods = round(span / 360.0)
-    periodic = periods >= 1 and abs(span - 360.0 * periods) < 1e-9
-
-    mag = -np.asarray(phase_slope(theta_deg, chi_deg, nodes))
-    spread = float(mag.max() - mag.min())
-    if spread < 0.05 * float(mag.max()):
-        return []  # slope is essentially uniform; no localized jumps
-    if periodic:
-        # pad one period on each side so a peak straddling the range ends
-        # (jumps merged across the periodic boundary) is still seen
-        core_phi, core_mag = nodes[:-1], mag[:-1]
-        ext_phi = np.concatenate([core_phi - span, nodes, core_phi[1:] + span])
-        ext_mag = np.concatenate([core_mag, mag, core_mag[1:]])
-        first, last = core_phi.size, core_phi.size + nodes.size - 1
+    peaks = {peak % 360.0, -peak % 360.0}
+    if periods >= 1 and abs(span - 360.0 * periods) < 1e-9:
+        # Each maximum once modulo the span.  The windows (midpoints to the
+        # cyclic neighbours) reach past the range ends, where the continuous
+        # branch is defined too, so every rise is a whole multiple of 2 pi.
+        centers = np.sort([lo + (p - lo) % 360.0 + 360.0 * k for p in peaks for k in range(periods)])
+        edges = np.concatenate([[centers[-1] - span], centers, [centers[0] + span]])
+        bounds = (edges[:-1] + edges[1:]) / 2.0
     else:
-        ext_phi, ext_mag = nodes, mag
-        first, last = 0, nodes.size - 1
-    peak_idx, _ = find_peaks(ext_mag, prominence=0.25 * spread)
-    centers = []
-    for i in peak_idx:
-        if not first <= i <= last:
-            continue
-        a, b = float(ext_phi[i - 1]), float(ext_phi[i + 1])
-        res = minimize_scalar(
-            lambda f: float(phase_slope(theta_deg, chi_deg, f)),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        center = float(res.x)
-        if periodic:
-            center = lo + (center - lo) % span
-        centers.append(center)
-    centers = sorted(centers)
-    # a peak at the periodic boundary is seen once per copy; drop duplicates
-    deduped = []
-    for c in centers:
-        if deduped and c - deduped[-1] < 1e-6:
-            continue
-        if periodic and deduped and (deduped[0] + span) - c < 1e-6:
-            continue
-        deduped.append(c)
-    centers = deduped
-    if not centers:
+        centers = np.sort([
+            c
+            for p in peaks
+            for c in p + 360.0 * np.arange(math.ceil((lo - p) / 360.0), math.floor((hi - p) / 360.0) + 1)
+            if lo < c < hi
+        ])
+        bounds = np.concatenate([[lo], (centers[:-1] + centers[1:]) / 2.0, [hi]])
+    if not centers.size:
         return []
-
-    # Window each jump by the midpoints to its cyclic neighbors.  For a
-    # whole number of periods the continuous branch is evaluated beyond the
-    # range ends (it is globally defined), so the wrap-around window stays
-    # symmetric and the measured rises come out as exact 2-pi multiples;
-    # partial ranges fall back to clipped windows.
-    n = len(centers)
-    bounds = []
-    for j in range(n):
-        if j == 0:
-            left = (centers[-1] - span + centers[0]) / 2.0 if periodic else lo
-        else:
-            left = (centers[j - 1] + centers[j]) / 2.0
-        if j == n - 1:
-            right = (centers[-1] + centers[0] + span) / 2.0 if periodic else hi
-        else:
-            right = (centers[j] + centers[j + 1]) / 2.0
-        if not periodic:
-            left, right = max(left, lo), min(right, hi)
-        bounds.append((left, right))
-
-    jumps = []
-    for center, (left, right) in zip(centers, bounds):
-        g_left = total_phase_continuous(theta_deg, chi_deg, left)
-        g_right = total_phase_continuous(theta_deg, chi_deg, right)
-        rise = g_right - g_left
-
-        def level_crossing(level):
-            f = lambda x: total_phase_continuous(theta_deg, chi_deg, x) - level
-            return brentq(f, left, right, xtol=1e-12)
-
-        phi_10 = level_crossing(g_left + 0.1 * rise)
-        phi_90 = level_crossing(g_left + 0.9 * rise)
-        jumps.append(PhaseJump(center, float(rise), float(phi_90 - phi_10)))
-    return jumps
+    gamma = np.asarray(total_phase_continuous(theta_deg, chi_deg, bounds))
+    rises = np.diff(gamma)
+    phi_10, phi_90 = _phi_at_level(theta_deg, chi_deg, gamma[:-1] + np.outer([0.1, 0.9], rises))
+    return [PhaseJump(float(c), float(r), float(w)) for c, r, w in zip(centers, rises, phi_90 - phi_10)]
 
 
-def sweep_phi(
-    theta_deg: float,
-    chi_deg: float,
-    phi_grid_deg,
-    max_depth: int = 24,
-) -> PhaseCurve:
-    """Evaluate the analytic total phase over a phi grid and unwrap it.
+def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
+    """The continuous total phase over a phi grid, with jump diagnostics.
 
-    Unwraps by nearest-branch continuation, adaptively bisecting any interval
-    whose unwrapped step reaches pi/2 (plus pole-neighborhood seeding, see
-    _seed_points).  The result is cross-checked against the closed-form
-    continuous branch; any residual inconsistency raises GridTooCoarse, as
-    does exceeding the bisection depth limit (pathologically steep jumps,
-    theta close to 0).
+    Rows are total_phase_continuous at the grid, plus, inside every interval
+    whose step reaches pi/2, the points where the curve crosses evenly
+    spaced levels (found in closed form, see _phi_at_level), so that every
+    step is below pi/2.  GridTooCoarse is raised if a step of pi/2 or more
+    is still left (curves too steep for floating point, theta close to 0).
     """
     if not 0.0 < theta_deg < 180.0:
         raise ValueError(f"theta_deg must lie in (0, 180) for a sweep, got {theta_deg}")
+    if not math.isfinite(chi_deg):
+        raise ValueError(f"chi_deg must be finite, got {chi_deg}")
     grid = np.asarray(phi_grid_deg, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("phi grid must be one-dimensional with at least 3 points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("phi grid must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("phi grid must be strictly increasing")
 
-    lo, hi = float(grid[0]), float(grid[-1])
-    nodes = np.unique(np.concatenate([grid, _seed_points(theta_deg, chi_deg, lo, hi)]))
-
-    depth = 0
-    while True:
-        gamma = _unwrap(np.asarray(analytic_total_phase(theta_deg, chi_deg, nodes)))
-        bad = np.abs(np.diff(gamma)) >= math.pi / 2.0
-        if not bad.any():
-            break
-        depth += 1
-        if depth > max_depth:
-            raise GridTooCoarse(
-                f"refinement depth {max_depth} exceeded; the curve is too steep "
-                f"for reliable unwrapping (theta_deg = {theta_deg})"
-            )
-        idx = np.nonzero(bad)[0]
-        mids = 0.5 * (nodes[idx] + nodes[idx + 1])
-        nodes = np.unique(np.concatenate([nodes, mids]))
-
-    ref = np.asarray(total_phase_continuous(theta_deg, chi_deg, nodes))
-    mismatch = np.max(np.abs((gamma - gamma[0]) - (ref - ref[0])))
-    if mismatch > 1e-6:
+    quarter = math.pi / 2.0
+    gamma = np.asarray(total_phase_continuous(theta_deg, chi_deg, grid))
+    steps = np.diff(gamma)
+    extra = []
+    for i in np.flatnonzero(np.abs(steps) >= quarter):
+        # an odd count keeps the levels off the interval's middle value: on an
+        # interval centred on a pole that sits at a symmetry point of the curve
+        # (phi = 180 at chi = 0), that value is taken at the pole itself, and
+        # total_phase_continuous is a branch off within 1e-9 deg past a pole
+        parts = (int(abs(steps[i]) // quarter) + 1) | 1
+        phi = _phi_at_level(theta_deg, chi_deg, gamma[i] + steps[i] * np.arange(1, parts) / parts)
+        extra.append(np.clip(phi, grid[i], grid[i + 1]))
+    nodes = grid
+    if extra:
+        nodes = np.unique(np.concatenate([grid, *extra]))
+        gamma = np.asarray(total_phase_continuous(theta_deg, chi_deg, nodes))
+    worst = float(np.max(np.abs(np.diff(gamma))))
+    if not worst < quarter:
         raise GridTooCoarse(
-            f"unwrapped curve deviates from the continuous branch by {mismatch:.3e}"
+            f"a step of {worst:.3e} rad remains after inserting level crossings; the curve "
+            f"is too steep to resolve in floating point (theta_deg = {theta_deg})"
         )
 
     return PhaseCurve(
@@ -341,7 +287,7 @@ def sweep_phi(
         chi_deg=chi_deg,
         phi_deg=nodes,
         gamma_rad=gamma,
-        jumps=_detect_jumps(theta_deg, chi_deg, nodes),
+        jumps=_detect_jumps(theta_deg, chi_deg, float(nodes[0]), float(nodes[-1])),
     )
 
 

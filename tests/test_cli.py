@@ -81,13 +81,23 @@ class TestPhaseCurve:
         assert "theta" in err
 
     def test_bad_phi_specs_rejected(self, tmp_path, monkeypatch, capsys):
-        for spec in ("10:5:100", "0:360:2", "0:360", "a:b:c"):
+        for spec in ("10:5:100", "0:360:2", "0:360", "a:b:c", "0:inf:5", "nan:360:5",
+                     "-inf:0:5", "0:360:1000001"):
             code, _, err = run(
-                ["phase-curve", "--theta", "10", "--chi", "120", "--phi", spec],
+                ["phase-curve", "--theta", "10", "--chi", "120", f"--phi={spec}"],
                 tmp_path, monkeypatch, capsys,
             )
-            assert code == 2
-            assert "phi" in err
+            assert code == 2, spec
+            assert err.startswith("error: phi:"), err
+
+    def test_theta_above_90_default_grid(self, tmp_path, monkeypatch, capsys):
+        # the steep region sits at phi = 0 here, not at the formula pole 180
+        code, out, err = run(
+            ["phase-curve", "--theta", "179.9", "--chi", "0", "--out", "c.csv"],
+            tmp_path, monkeypatch, capsys,
+        )
+        assert code == 0, err
+        assert "jumps: 0.000 deg (rise -4.000000 pi" in out
 
 
 class TestFringe:
@@ -132,15 +142,26 @@ class TestFringe:
 
     def test_validation_errors(self, tmp_path, monkeypatch, capsys):
         cases = [
-            ["fringe", "--theta", "10", "--chi", "120", "--delta-steps", "2"],
-            ["fringe", "--theta", "10", "--chi", "120", "--noise-photons", "-1"],
-            ["fringe", "--theta", "200", "--chi", "120"],
-            ["fringe", "--theta", "10", "--chi", "120", "--phi", "400"],
+            (["--delta-steps", "2"], "delta-steps"),
+            (["--noise-photons", "-1"], "noise-photons"),
+            (["--noise-photons", "inf"], "noise-photons"),
+            (["--noise-photons", "nan"], "noise-photons"),
+            (["--noise-photons", "2e15"], "noise-photons"),
+            (["--theta", "200"], "theta"),
+            (["--phi", "400"], "phi"),
         ]
-        for args in cases:
+        for extra, field in cases:
+            args = ["fringe", "--theta", "10", "--chi", "120", *extra]
             code, _, err = run(args, tmp_path, monkeypatch, capsys)
-            assert code == 2
-            assert err.startswith("error:")
+            assert code == 2, extra
+            assert err.startswith(f"error: {field}:"), err
+
+    def test_largest_noise_photons_accepted(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run(
+            ["fringe", "--theta", "10", "--chi", "120", "--noise-photons", "1e15", "--out", "f.csv"],
+            tmp_path, monkeypatch, capsys,
+        )
+        assert code == 0, err
 
 
 class TestReproduceFigures:

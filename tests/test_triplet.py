@@ -2,10 +2,15 @@
 jump diagnostics, offset fitting."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triphase
 from triphase.core import (
     QubitState,
     UndefinedPhase,
@@ -27,7 +32,6 @@ from triphase.triplet import (
     make_states,
     make_triplet,
     phase_slope,
-    pole_positions,
     sweep_phi,
     total_phase_continuous,
 )
@@ -124,7 +128,7 @@ class TestAnalyticPhase:
         for theta in (2, 10, 45):
             for chi in (0, 120):
                 for phi in np.arange(0.0, 360.0, 10.0):
-                    if min(abs(phi - p) for p in pole_positions(chi, 0, 360)) < 1.0:
+                    if min(abs(phi - p) for p in (180 - chi / 2, 180 + chi / 2)) < 1.0:
                         continue
                     s1, s2, s3 = make_triplet(TripletParams(theta, chi, float(phi)))
                     direct = three_vertex_phase_qutrit(s1, s2, s3)
@@ -164,7 +168,7 @@ class TestContinuousBranch:
 
     def test_continuous_across_poles(self):
         for chi in (0, 60, 120, 180):
-            for pole in pole_positions(chi, 0, 360):
+            for pole in (180 - chi / 2, 180 + chi / 2):
                 phis = np.linspace(pole - 0.5, pole + 0.5, 2001)
                 vals = np.asarray(total_phase_continuous(10, chi, phis))
                 assert np.max(np.abs(np.diff(vals))) < 0.2
@@ -198,6 +202,44 @@ class TestSweep:
             sweep_phi(10, 120, [0.0, 10.0])
         with pytest.raises(ValueError):
             sweep_phi(10, 120, [0.0, 10.0, 5.0])
+
+    def test_rejects_non_finite_inputs(self):
+        grid = np.linspace(0, 360, 721)
+        for chi in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="chi_deg"):
+                sweep_phi(10, chi, grid)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="phi grid"):
+                sweep_phi(10, 120, [0.0, 10.0, bad])
+
+    @pytest.mark.parametrize(
+        "theta, grid",
+        [(178, np.linspace(0, 360, 5)), (1e-6, np.linspace(0, 360, 721))],
+    )
+    def test_steep_or_coarse_whole_period(self, theta, grid):
+        # theta > 90 puts the steep region at phi = +-chi/2, away from the
+        # formula poles; theta = 1e-6 makes it narrower than 1e-4 deg
+        curve = sweep_phi(theta, 120, grid)
+        assert curve.net_change_rad == pytest.approx(-2 * TWO_PI, abs=1e-9)
+        assert np.max(np.abs(np.diff(curve.gamma_rad))) < math.pi / 2
+        assert np.isin(grid, curve.phi_deg).all()
+
+    def test_equal_maxima_both_reported(self):
+        # the slope's two maxima are equal by symmetry about phi = 180
+        curve = sweep_phi(15, 30, np.linspace(0, 360, 721))
+        assert len(curve.jumps) == 2
+        left, right = sorted(curve.jumps, key=lambda j: j.phi_center_deg)
+        assert left.phi_center_deg + right.phi_center_deg == pytest.approx(360.0, abs=1e-9)
+        assert left.phi_center_deg < 180.0
+        for j in curve.jumps:
+            assert j.rise_rad == pytest.approx(-TWO_PI, abs=1e-9)
+
+    def test_merged_jump_on_period_boundary(self):
+        curve = sweep_phi(80, 240, np.linspace(0, 360, 721))
+        assert len(curve.jumps) == 1
+        jump = curve.jumps[0]
+        assert min(jump.phi_center_deg % 360.0, -jump.phi_center_deg % 360.0) < 1e-9
+        assert jump.rise_rad == pytest.approx(-2 * TWO_PI, abs=1e-9)
 
     def test_refinement_keeps_steps_small(self):
         curve = sweep_phi(2, 120, np.linspace(0, 360, 721))
@@ -314,3 +356,13 @@ class TestFitOffset:
             fit_offset(np.array([[400.0, 0.0], [500.0, 1.0]]), theory)
         with pytest.raises(InsufficientData):
             fit_offset(np.array([[100.0, 0.0], [400.0, 1.0]]), theory)
+
+
+def test_import_does_not_load_scipy_signal():
+    package_root = str(Path(triphase.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, triphase; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
