@@ -33,7 +33,6 @@ from .eraser import (
     WaveplateSolution,
     ZeroVisibility,
     analyzer_hwp_settings,
-    chain_matrix,
     default_delta_grid,
     delta_from_path_difference,
     extract_fringe_phase,

@@ -41,6 +41,9 @@ from .triplet import GridTooCoarse, PhaseCurve, TripletParams, make_triplet, swe
 
 
 _MAX_PHI_COUNT = 10**6
+# the curve falls by 4 pi per 360 degrees and every output step stays below
+# pi/2, so rows grow with the span; 1e5 periods keep them near the count cap
+_MAX_PHI_SPAN_DEG = 3.6e7
 _MAX_NOISE_PHOTONS = 1e15
 
 
@@ -67,6 +70,8 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         raise ValidationError(f"phi: count must lie in [3, {_MAX_PHI_COUNT}], got {count}")
     if not stop > start:
         raise ValidationError(f"phi: stop must exceed start, got {text!r}")
+    if stop - start > _MAX_PHI_SPAN_DEG:
+        raise ValidationError(f"phi: stop - start must be at most {_MAX_PHI_SPAN_DEG:g} deg, got {text!r}")
     return start, stop, count
 
 

@@ -16,20 +16,18 @@ at angle L to the linear polarization at 2a - L with no extra phase.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import QubitState, SymmetricState, qutrit_inner, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_WAVELENGTH_M = 391e-9
 
-_RETARDANCE = {"quarter": -1j, "half": -1.0}
+_RETARDANCE = {"quarter": -1j, "half": -1.0 + 0j}
 
 
 class Unreachable(RuntimeError):
@@ -53,24 +51,20 @@ class WaveplateSetting:
         object.__setattr__(self, "angle_deg", float(self.angle_deg) % 180.0)
 
 
-def _rotation(angle_rad: float) -> np.ndarray:
-    c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _reflection(two_a):
+    """cos(2a) sigma_z + sin(2a) sigma_x, stacked over the shape of ``two_a``."""
+    c, s = np.cos(two_a), np.sin(two_a)
+    return np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2)
+
+
+def _jones(retardance: complex, angle_rad):
+    """R(a) diag(1, r) R(-a) = (1 + r)/2 I + (1 - r)/2 (cos 2a sigma_z + sin 2a sigma_x)."""
+    return 0.5 * (1.0 + retardance) * np.eye(2) + 0.5 * (1.0 - retardance) * _reflection(2.0 * angle_rad)
 
 
 def waveplate_matrix(setting: WaveplateSetting) -> np.ndarray:
     """Unitary Jones matrix of a quarter- or half-wave plate."""
-    a = math.radians(setting.angle_deg)
-    retarder = np.diag([1.0, _RETARDANCE[setting.kind]]).astype(complex)
-    return _rotation(a) @ retarder @ _rotation(-a)
-
-
-def chain_matrix(settings: Sequence[WaveplateSetting]) -> np.ndarray:
-    """Composed Jones matrix; the first listed element is applied first."""
-    out = np.eye(2, dtype=complex)
-    for s in settings:
-        out = waveplate_matrix(s) @ out
-    return out
+    return _jones(_RETARDANCE[setting.kind], math.radians(setting.angle_deg))
 
 
 class WaveplateSolution(NamedTuple):
@@ -78,22 +72,40 @@ class WaveplateSolution(NamedTuple):
     infidelity: float
 
 
-def solve_waveplates(
-    target: QubitState,
-    kinds: Sequence[str],
-    start: QubitState,
-    *,
-    coarse_step_deg: float = 15.0,
-    infidelity_tol: float = 1e-6,
-    refine_starts: int = 8,
-) -> WaveplateSolution:
+_COARSE_STEP_DEG = 15.0
+_REFINE_STARTS = 8
+_GAUSS_NEWTON_STEPS = 12
+_INFIDELITY_TOL = 1e-6
+
+
+def _leak(retardances, angles, start_vec, perp):
+    """<perp|W_n ... W_1|start> and its gradient, for angles (radians) of shape (..., n).
+
+    Each plate's derivative is dW/da = (1 - r) (cos 2a' sigma_z + sin 2a' sigma_x), a' = a + pi/4.
+    """
+    states = [np.broadcast_to(start_vec, angles.shape[:-1] + (2,))]
+    for k, r in enumerate(retardances[:-1]):
+        states.append(np.einsum("...ij,...j->...i", _jones(r, angles[..., k]), states[-1]))
+    row = np.broadcast_to(perp.conj(), states[0].shape)
+    grad = np.empty(angles.shape, dtype=complex)
+    for k in reversed(range(len(retardances))):
+        r, a = retardances[k], angles[..., k]
+        d_plate = (1.0 - r) * _reflection(2.0 * a + 0.5 * math.pi)
+        grad[..., k] = np.einsum("...i,...ij,...j->...", row, d_plate, states[k])
+        row = np.einsum("...i,...ij->...j", row, _jones(r, a))
+    return row @ start_vec, grad
+
+
+def solve_waveplates(target: QubitState, kinds: Sequence[str], start: QubitState) -> WaveplateSolution:
     """Fast-axis angles sending ``start`` to ``target`` through the chain.
 
-    Minimizes the infidelity 1 - |<target|chain|start>|^2 by nonlinear least
-    squares on the projection onto the target's orthogonal complement,
-    multi-started from a coarse angle grid.  Raises Unreachable when the best
-    infidelity stays above ``infidelity_tol`` (e.g. a single half-wave plate
-    cannot make circular light from linear light).
+    Minimizes the infidelity 1 - |<target|chain|start>|^2, the squared leak
+    into the target's orthogonal complement: the leak is evaluated on a
+    coarse angle grid at once, and the best starts take Gauss-Newton steps
+    together (pseudo-inverse steps also cover the underdetermined chains of
+    three or more plates).  Raises Unreachable when the best infidelity stays
+    above 1e-6 (e.g. a single half-wave plate cannot make circular light
+    from linear light).
     """
     kinds = list(kinds)
     if not kinds:
@@ -102,46 +114,26 @@ def solve_waveplates(
         if k not in _RETARDANCE:
             raise ValueError(f"unknown waveplate kind {k!r}")
 
-    start_vec = start.vec
+    retardances = [_RETARDANCE[k] for k in kinds]
     perp = np.array([-target.amp_v.conjugate(), target.amp_h.conjugate()], dtype=complex)
+    coarse = np.radians(np.arange(0.0, 180.0, _COARSE_STEP_DEG))
+    grid = np.stack(np.meshgrid(*[coarse] * len(kinds), indexing="ij"), -1).reshape(-1, len(kinds))
+    leak, _ = _leak(retardances, grid, start.vec, perp)
+    angles = grid[np.argsort(np.abs(leak), kind="stable")[:_REFINE_STARTS]]
 
-    def leak(angles_deg) -> complex:
-        out = start_vec
-        for kind, ang in zip(kinds, angles_deg):
-            out = waveplate_matrix(WaveplateSetting(kind, ang)) @ out
-        return complex(np.vdot(perp, out))
-
-    def residuals(angles_deg):
-        z = leak(angles_deg)
-        return np.array([z.real, z.imag])
-
-    def infidelity(angles_deg) -> float:
-        return abs(leak(angles_deg)) ** 2
-
-    coarse = np.arange(0.0, 180.0, coarse_step_deg)
-    starts = sorted(
-        itertools.product(coarse, repeat=len(kinds)),
-        key=lambda a: infidelity(a),
-    )[:refine_starts]
-
-    # LM needs at least as many residuals (2) as variables; longer chains
-    # fall back to the trust-region solver, which handles the
-    # underdetermined case.
-    method = "lm" if len(kinds) <= 2 else "trf"
-    best_angles, best_inf = None, math.inf
-    for x0 in starts:
-        res = least_squares(
-            residuals, np.asarray(x0, dtype=float), method=method, xtol=1e-15, ftol=1e-15
-        )
-        inf = infidelity(res.x)
-        if inf < best_inf:
-            best_inf, best_angles = inf, res.x
-    if best_inf > infidelity_tol:
+    for _ in range(_GAUSS_NEWTON_STEPS):
+        leak, grad = _leak(retardances, angles, start.vec, perp)
+        jac = np.stack([grad.real, grad.imag], -2)
+        residual = np.stack([leak.real, leak.imag], -1)
+        angles = (angles - np.einsum("...ij,...j->...i", np.linalg.pinv(jac), residual)) % math.pi
+    infidelity = np.abs(_leak(retardances, angles, start.vec, perp)[0]) ** 2
+    best = int(np.argmin(infidelity))
+    if infidelity[best] > _INFIDELITY_TOL:
         raise Unreachable(
-            f"chain {kinds} cannot reach the target; best infidelity {best_inf:.3e}"
+            f"chain {kinds} cannot reach the target; best infidelity found {infidelity[best]:.3e}"
         )
-    settings = [WaveplateSetting(k, a) for k, a in zip(kinds, best_angles)]
-    return WaveplateSolution(settings, float(best_inf))
+    settings = [WaveplateSetting(k, math.degrees(a)) for k, a in zip(kinds, angles[best])]
+    return WaveplateSolution(settings, float(infidelity[best]))
 
 
 def projection_amplitude(arm_state: SymmetricState, projector_state: SymmetricState) -> complex:

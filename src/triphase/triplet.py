@@ -99,27 +99,20 @@ def analytic_total_phase(theta_deg, chi_deg, phi_deg):
     )
 
 
-def _pole_crossings(phi_deg, p0: float):
-    """Signed count of poles p0 + 360k strictly between 0 and phi (vectorized)."""
-    phi = np.asarray(phi_deg, dtype=float)
-    eps = 1e-9
-    up = np.floor((phi - eps - p0) / 360.0) - math.ceil((eps - p0) / 360.0) + 1.0
-    dn = math.floor((-eps - p0) / 360.0) - np.ceil((phi + eps - p0) / 360.0) + 1.0
-    return np.where(phi >= 0.0, np.maximum(up, 0.0), -np.maximum(dn, 0.0))
-
-
 def total_phase_continuous(theta_deg, chi_deg, phi_deg):
     """Continuous-branch total phase, anchored to 0 at phi = 0.
 
-    Equal to the principal analytic value minus 2pi per formula pole crossed
-    between 0 and phi; each crossing drops the curve by 2pi, so a full 360
-    degree period changes the phase by exactly -4pi.  Broadcasts over phi.
+    The principal analytic value, moved by the multiple of 2pi nearest to
+    -2 arg z (the continuous curve, see _phi_at_level; it only picks the
+    branch, as kappa + cos(phi) cancels near a pole).  A full 360 degree
+    period changes the phase by exactly -4pi.  Broadcasts over phi.
     """
     base = analytic_total_phase(theta_deg, chi_deg, phi_deg)
-    n = _pole_crossings(phi_deg, 180.0 - chi_deg / 2.0) + _pole_crossings(
-        phi_deg, 180.0 + chi_deg / 2.0
-    )
-    out = base - TWO_PI * n
+    th, ph = np.radians(theta_deg), np.radians(np.asarray(phi_deg, dtype=float))
+    z = np.cos(th) * np.cos(np.radians(chi_deg) / 2.0) + np.cos(ph) + 1j * np.sin(th) * np.sin(ph)
+    arg = np.angle(z)
+    arg = arg + TWO_PI * np.round((ph - arg) / TWO_PI)
+    out = base - TWO_PI * np.round((base + 2.0 * arg) / TWO_PI)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -264,10 +257,9 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
     steps = np.diff(gamma)
     extra = []
     for i in np.flatnonzero(np.abs(steps) >= quarter):
-        # an odd count keeps the levels off the interval's middle value: on an
-        # interval centred on a pole that sits at a symmetry point of the curve
-        # (phi = 180 at chi = 0), that value is taken at the pole itself, and
-        # total_phase_continuous is a branch off within 1e-9 deg past a pole
+        # an odd count: a step a rounding short of a multiple of 2 pi (from
+        # phi = 0 to a pole at a symmetry point of the curve, such as phi = 180
+        # at chi = 0) would otherwise split into steps of pi/2 up to rounding
         parts = (int(abs(steps[i]) // quarter) + 1) | 1
         phi = _phi_at_level(theta_deg, chi_deg, gamma[i] + steps[i] * np.arange(1, parts) / parts)
         extra.append(np.clip(phi, grid[i], grid[i + 1]))
@@ -296,32 +288,16 @@ class OffsetFit(NamedTuple):
     rms_rad: float
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
-    """Golden-section minimizer on [a, b] for a unimodal objective."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def fit_offset(measured, theory: PhaseCurve) -> OffsetFit:
     """Constant offset minimizing the wrapped squared residuals.
 
     ``measured`` is a sequence of (phi_deg, gamma_rad) pairs; the theory curve
     is linearly interpolated at the measured phi.  The circular objective
-    sum(wrap(measured - theory - c)^2) is scanned on a 1 degree grid and
-    refined by golden section; the offset is reported in (-pi, pi] together
-    with the residual RMS.
+    sum(wrap(measured - theory - c)^2) is minimized exactly (the intrinsic
+    mean on the circle): near any c it is the quadratic cost of the sorted
+    wrapped residuals with the j smallest lifted by 2 pi, least at their
+    mean, so the best of those n means is the global minimum.  The offset is
+    reported in (-pi, pi] together with the residual RMS.
     """
     arr = np.asarray(measured, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -335,12 +311,10 @@ def fit_offset(measured, theory: PhaseCurve) -> OffsetFit:
     gam_m = arr[inside, 1]
     resid = gam_m - np.interp(phi_m, theory.phi_deg, theory.gamma_rad)
 
-    def cost(c):
-        return float(np.sum(np.asarray(wrap_angle(resid - c)) ** 2))
-
-    coarse = np.radians(np.arange(-179.0, 181.0, 1.0))
-    costs = np.sum(np.asarray(wrap_angle(resid[None, :] - coarse[:, None])) ** 2, axis=1)
-    c0 = float(coarse[int(np.argmin(costs))])
-    half = math.radians(1.5)
-    c_best = _golden_min(cost, c0 - half, c0 + half)
-    return OffsetFit(wrap_angle(c_best), math.sqrt(cost(c_best) / resid.size))
+    x = np.sort(np.asarray(wrap_angle(resid)))
+    lifted = np.arange(x.size)
+    sums = x.sum() + TWO_PI * lifted
+    squares = np.sum(x * x) + 2.0 * TWO_PI * np.concatenate([[0.0], np.cumsum(x[:-1])]) + TWO_PI**2 * lifted
+    c_best = float(sums[int(np.argmin(squares - sums * sums / x.size))] / x.size)
+    cost = float(np.sum(np.asarray(wrap_angle(resid - c_best)) ** 2))
+    return OffsetFit(wrap_angle(c_best), math.sqrt(cost / resid.size))

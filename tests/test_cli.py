@@ -82,7 +82,7 @@ class TestPhaseCurve:
 
     def test_bad_phi_specs_rejected(self, tmp_path, monkeypatch, capsys):
         for spec in ("10:5:100", "0:360:2", "0:360", "a:b:c", "0:inf:5", "nan:360:5",
-                     "-inf:0:5", "0:360:1000001"):
+                     "-inf:0:5", "0:360:1000001", "0:1e12:3", "-2e7:2e7:3"):
             code, _, err = run(
                 ["phase-curve", "--theta", "10", "--chi", "120", f"--phi={spec}"],
                 tmp_path, monkeypatch, capsys,
@@ -207,6 +207,20 @@ def _assert_phase_curve_help(argv, env=None):
     assert "--theta" in proc.stdout
 
 
+def _pyproject() -> dict:
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:
+        tomllib = pytest.importorskip("tomli")
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
+        return tomllib.load(fh)
+
+
+def test_runtime_depends_on_numpy_only():
+    deps = _pyproject()["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps] == ["numpy"], deps
+
+
 def test_console_script_installed():
     # `python -m triphase` launches the same `cli.main` as the console script and needs
     # no install; the child imports the package this test imported.
@@ -219,13 +233,7 @@ def test_console_script_installed():
         _assert_phase_curve_help([installed])
 
     # the [project.scripts] entry names a real callable: cli.main
-    if sys.version_info >= (3, 11):
-        import tomllib
-    else:
-        tomllib = pytest.importorskip("tomli")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"]["triphase"]
+    target = _pyproject()["project"]["scripts"]["triphase"]
     module_name, _, attr = target.partition(":")
     entry = getattr(importlib.import_module(module_name), attr, None)
     assert entry is cli.main, target

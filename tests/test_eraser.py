@@ -114,6 +114,26 @@ class TestSolveWaveplates:
                 out = waveplate_matrix(s) @ out
             assert abs(np.vdot(target.vec, out)) >= 1.0 - 1e-9
 
+    def test_quarter_half_chain_from_linear_starts(self):
+        # the chain that prepares the anchor states reaches every state from
+        # any linear polarization (Simon & Mukunda, Phys. Lett. A 143, 165)
+        rng = np.random.default_rng(61)
+        for _ in range(25):
+            a = rng.uniform(0, math.pi)
+            z = rng.normal(size=2) + 1j * rng.normal(size=2)
+            start, target = QubitState(math.cos(a), math.sin(a)), QubitState.of(z[0], z[1])
+            sol = solve_waveplates(target, ("quarter", "half"), start)
+            out = start.vec
+            for s in sol.settings:
+                out = waveplate_matrix(s) @ out
+            assert sol.infidelity <= 1e-12
+            assert 1.0 - abs(np.vdot(target.vec, out)) ** 2 <= 1e-12
+
+    def test_half_half_chain_cannot_make_circular(self):
+        # half-wave plates keep linear light linear
+        with pytest.raises(Unreachable):
+            solve_waveplates(R, ("half", "half"), H)
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
             solve_waveplates(D, [], H)

@@ -173,6 +173,21 @@ class TestContinuousBranch:
                 vals = np.asarray(total_phase_continuous(10, chi, phis))
                 assert np.max(np.abs(np.diff(vals))) < 0.2
 
+    def test_on_branch_just_past_a_pole(self):
+        # the pole of (10, 120) sits at phi = 120; the curve is steep there
+        # but continuous, not 2 pi off within 1e-9 deg past it
+        step = total_phase_continuous(10, 120, 120 + 5e-10) - total_phase_continuous(10, 120, 119.9)
+        assert abs(step) < 0.1
+
+    def test_grid_nodes_next_to_poles(self):
+        # a node just past the pole at 120, and a pole just past the anchor
+        # phi = 0 (chi a rounding short of 360)
+        for theta, chi, grid in [
+            (10, 120, [0, 60, 120 + 5e-10, 200, 360]),
+            (1, 359.9999999999999, np.linspace(0, 360, 3)),
+        ]:
+            assert sweep_phi(theta, chi, grid).net_change_rad == pytest.approx(-2 * TWO_PI, abs=1e-9)
+
     def test_full_period_drop_is_4pi(self):
         for theta in (2, 10, 45, 89):
             for chi in (0, 60, 120, 180):
@@ -350,6 +365,24 @@ class TestFitOffset:
             hits += abs(wrap_angle(fit.offset_rad - 0.3)) <= bound
         assert hits >= 97
 
+    def test_cost_at_offset_is_the_minimum(self):
+        theory = self._theory()
+        rng = np.random.default_rng(12)
+        scan = np.linspace(-math.pi, math.pi, 200001)
+        for sigma in (0.05, 0.5, 1.0, 2.0, 3.0):
+            phis = rng.uniform(0, 360, 40)
+            curve = np.interp(phis, theory.phi_deg, theory.gamma_rad)
+            gammas = curve + rng.uniform(-math.pi, math.pi) + rng.normal(0, sigma, 40)
+            fit = fit_offset(np.column_stack([phis, gammas]), theory)
+            resid = gammas - curve
+
+            def cost(c):
+                return sum(np.asarray(wrap_angle(r - c)) ** 2 for r in resid)
+
+            at_fit = float(cost(np.array([fit.offset_rad]))[0])
+            assert at_fit <= float(np.min(cost(scan)))
+            assert fit.rms_rad == pytest.approx(math.sqrt(at_fit / resid.size), rel=1e-12)
+
     def test_insufficient_data(self):
         theory = self._theory()
         with pytest.raises(InsufficientData):
@@ -359,10 +392,15 @@ class TestFitOffset:
 
 
 def test_import_does_not_load_scipy_signal():
+    # numpy is the only runtime dependency: no scipy module at all, through
+    # the package, the command line or the acceptance suite
     package_root = str(Path(triphase.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    code = "import sys, triphase; print('scipy.signal' in sys.modules)"
+    code = (
+        "import sys, triphase, triphase.cli, triphase.verify; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
