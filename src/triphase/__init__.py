@@ -13,16 +13,14 @@ from .core import (
     SymmetricState,
     UndefinedPhase,
     bloch_from_qubit,
+    inner,
     majorana_decompose,
     qubit_from_bloch,
-    qubit_inner,
-    qutrit_inner,
     random_qubit,
     random_symmetric,
     spherical_triangle_signed_area,
     symmetrize,
-    three_vertex_phase_qubit,
-    three_vertex_phase_qutrit,
+    three_vertex_phase,
     wrap_angle,
 )
 from .eraser import (

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import figures, verify
-from .core import qutrit_inner
+from .core import inner
 from .eraser import (
     ZeroVisibility,
     Unreachable,
@@ -40,7 +40,7 @@ from .eraser import (
 from .triplet import GridTooCoarse, PhaseCurve, TripletParams, make_triplet, sweep_phi
 
 
-_MAX_PHI_COUNT = 10**6
+_MAX_COUNT = 10**6  # grid points of --phi and --delta-steps
 # the curve falls by 4 pi per 360 degrees and every output step stays below
 # pi/2, so rows grow with the span; 1e5 periods keep them near the count cap
 _MAX_PHI_SPAN_DEG = 3.6e7
@@ -66,8 +66,8 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         raise ValidationError(f"phi: {exc}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValidationError(f"phi: start and stop must be finite, got {text!r}")
-    if not 3 <= count <= _MAX_PHI_COUNT:
-        raise ValidationError(f"phi: count must lie in [3, {_MAX_PHI_COUNT}], got {count}")
+    if not 3 <= count <= _MAX_COUNT:
+        raise ValidationError(f"phi: count must lie in [3, {_MAX_COUNT}], got {count}")
     if not stop > start:
         raise ValidationError(f"phi: stop must exceed start, got {text!r}")
     if stop - start > _MAX_PHI_SPAN_DEG:
@@ -170,15 +170,17 @@ def cmd_fringe(args) -> int:
     except ValueError:
         raise ValidationError(f"phi: expected a single angle in degrees, got {args.phi!r}") from None
     phi = _check_angle("phi", phi, 0.0, 360.0, allow_lo=True)
-    if args.delta_steps < 3:
-        raise ValidationError(f"delta-steps: must be >= 3, got {args.delta_steps}")
+    if not 3 <= args.delta_steps <= _MAX_COUNT:
+        raise ValidationError(f"delta-steps: must lie in [3, {_MAX_COUNT}], got {args.delta_steps}")
+    if args.seed < 0:
+        raise ValidationError(f"seed: must be non-negative, got {args.seed}")
     if args.noise_photons is not None and not 0.0 < args.noise_photons <= _MAX_NOISE_PHOTONS:
         raise ValidationError(
             f"noise-photons: must lie in (0, {_MAX_NOISE_PHOTONS:g}], got {args.noise_photons}"
         )
 
     s1, s2, s3 = make_triplet(TripletParams(theta, chi, phi))
-    if max(abs(qutrit_inner(s3, s1)), abs(qutrit_inner(s3, s2))) < 1e-12:
+    if max(abs(inner(s3, s1)), abs(inner(s3, s2))) < 1e-12:
         raise ZeroVisibility("projector is orthogonal to both interferometer arms")
     delta = default_delta_grid(args.delta_steps)
     trace = fringe_trace(

@@ -9,13 +9,18 @@ Conventions used throughout the package:
 * Bloch map: ``|H> -> +z``, ``(|H>+|V>)/sqrt(2) -> +x``,
   ``(|H>+i|V>)/sqrt(2) -> +y``.
 * All phase angles are reported in ``(-pi, pi]``.
+* ``inner``, ``three_vertex_phase``, ``symmetrize``, ``bloch_from_qubit`` and
+  ``spherical_triangle_signed_area`` take the wrappers or arrays of shape
+  ``(..., d)`` and broadcast; wrappers in give wrappers out, any array in
+  gives arrays out.  Each formula is written once, over the component tuple,
+  so wrappers stay in Python complex arithmetic.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -42,138 +47,125 @@ def wrap_angle(x):
     return w
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Normalized single-photon polarization state in the H/V basis."""
+class _Unit(tuple):
+    """A unit vector as the named tuple of its components (of type ``_kind``)."""
 
-    amp_h: complex
-    amp_v: complex
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # not a sequence to join or repeat
 
-    def __post_init__(self):
-        object.__setattr__(self, "amp_h", complex(self.amp_h))
-        object.__setattr__(self, "amp_v", complex(self.amp_v))
-        n = abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2
+    def __new__(cls, *parts):
+        self = tuple.__new__(cls, map(cls._kind, parts))
+        if len(self) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} components, got {len(self)}")
+        n = 0.0
+        for x in self:
+            n += abs(x) ** 2
         if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"qubit amplitudes are not normalized: |psi|^2 = {n}")
+            raise ValueError(f"{cls._what} = {n}")
+        return self
 
     @classmethod
-    def of(cls, amp_h: complex, amp_v: complex) -> "QubitState":
-        """Build a normalized state from arbitrary non-zero amplitudes."""
-        n = math.sqrt(abs(amp_h) ** 2 + abs(amp_v) ** 2)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(complex(amp_h) / n, complex(amp_v) / n)
+    def of(cls, *parts):
+        """Build a normalized state from arbitrary non-zero components."""
+        return cls(*_unit(parts))
+
+    @classmethod
+    def _make(cls, parts):  # the named tuple's _make and _replace skip __new__
+        return cls(*parts)
 
     @property
     def vec(self) -> np.ndarray:
-        return np.array([self.amp_h, self.amp_v], dtype=complex)
+        return np.array(self, dtype=self._kind)
 
 
-@dataclass(frozen=True)
-class SymmetricState:
+class QubitState(_Unit, namedtuple("QubitState", "amp_h amp_v")):
+    """Normalized single-photon polarization state in the H/V basis."""
+
+    __slots__ = ()
+    _kind = complex
+    _what = "qubit amplitudes are not normalized: |psi|^2"
+
+
+class SymmetricState(_Unit, namedtuple("SymmetricState", "amp_hh amp_sym amp_vv")):
     """Normalized two-photon state in the symmetric (qutrit) basis.
 
     ``amp_sym`` multiplies the normalized basis vector (|HV>+|VH>)/sqrt(2),
     so the antisymmetric component is structurally impossible.
     """
 
-    amp_hh: complex
-    amp_sym: complex
-    amp_vv: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "amp_hh", complex(self.amp_hh))
-        object.__setattr__(self, "amp_sym", complex(self.amp_sym))
-        object.__setattr__(self, "amp_vv", complex(self.amp_vv))
-        n = abs(self.amp_hh) ** 2 + abs(self.amp_sym) ** 2 + abs(self.amp_vv) ** 2
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"qutrit amplitudes are not normalized: |Psi|^2 = {n}")
-
-    @classmethod
-    def of(cls, amp_hh: complex, amp_sym: complex, amp_vv: complex) -> "SymmetricState":
-        n = math.sqrt(abs(amp_hh) ** 2 + abs(amp_sym) ** 2 + abs(amp_vv) ** 2)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(complex(amp_hh) / n, complex(amp_sym) / n, complex(amp_vv) / n)
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.amp_hh, self.amp_sym, self.amp_vv], dtype=complex)
-
-    @property
-    def product_basis_vec(self) -> np.ndarray:
-        """Amplitudes in the product basis (|HH>, |HV>, |VH>, |VV>)."""
-        s = self.amp_sym / math.sqrt(2.0)
-        return np.array([self.amp_hh, s, s, self.amp_vv], dtype=complex)
+    __slots__ = ()
+    _kind = complex
+    _what = "qutrit amplitudes are not normalized: |Psi|^2"
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(_Unit, namedtuple("BlochVector", "x y z")):
     """Unit vector on the Bloch (Poincare) sphere."""
 
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = self.x**2 + self.y**2 + self.z**2
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"Bloch vector is not unit length: |v|^2 = {n}")
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
+    __slots__ = ()
+    _kind = float
+    _what = "Bloch vector is not unit length: |v|^2"
 
 
-def qubit_inner(a: QubitState, b: QubitState) -> complex:
-    """<a|b> with conjugation on the first argument."""
-    return a.amp_h.conjugate() * b.amp_h + a.amp_v.conjugate() * b.amp_v
+def _parts(v):
+    """The component tuple of a wrapper, or the last-axis slices of an array."""
+    return v if isinstance(v, _Unit) else tuple(np.moveaxis(np.asarray(v), -1, 0))
 
 
-def qutrit_inner(a: SymmetricState, b: SymmetricState) -> complex:
-    """<a|b> in the three-dimensional symmetric subspace."""
-    return (
-        a.amp_hh.conjugate() * b.amp_hh
-        + a.amp_sym.conjugate() * b.amp_sym
-        + a.amp_vv.conjugate() * b.amp_vv
-    )
+def _unit(parts):
+    """A component tuple (scalars, or arrays that broadcast) over its norm."""
+    n2 = 0.0
+    for x in parts:
+        n2 = n2 + abs(x) ** 2
+    batched = isinstance(n2, np.ndarray)
+    if not n2.all() if batched else n2 == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    n = np.sqrt(n2) if batched else math.sqrt(n2)
+    return [x / n for x in parts]
 
 
-def _phase_of_product(product: complex) -> float:
-    if abs(product) < PHASE_SINGULAR_TOL:
-        raise UndefinedPhase(
-            f"overlap product magnitude {abs(product):.3e} is below "
-            f"{PHASE_SINGULAR_TOL:.0e}; the phase is singular"
-        )
-    return wrap_angle(cmath.phase(product))
+def inner(a, b):
+    """<a|b> with conjugation on the first argument, in any dimension."""
+    a, b = _parts(a), _parts(b)
+    if len(a) != len(b):
+        raise ValueError(f"inner product of dimensions {len(a)} and {len(b)}")
+    out = 0.0
+    for x, y in zip(a, b):
+        out = out + x.conjugate() * y
+    return out
 
 
-def three_vertex_phase_qubit(a: QubitState, b: QubitState, c: QubitState) -> float:
-    """arg <a|c><c|b><b|a>, in (-pi, pi].
+# Kept for perfbench/workloads.py, which imports it; not exported from triphase.
+qutrit_inner = inner
+
+
+def three_vertex_phase(a, b, c):
+    """arg <a|c><c|b><b|a>, in (-pi, pi], for qubits, qutrits or any dimension.
 
     Invariant under global phases of any argument, cyclic in (a, b, c), and
     antisymmetric under swapping any two arguments.  Raises UndefinedPhase
-    when some pair is (numerically) orthogonal.
+    when some pair is (numerically) orthogonal, for any element of a batch.
     """
-    return _phase_of_product(qubit_inner(a, c) * qubit_inner(c, b) * qubit_inner(b, a))
+    product = inner(a, c) * inner(c, b) * inner(b, a)
+    smallest = np.min(np.abs(product), initial=np.inf)
+    if smallest < PHASE_SINGULAR_TOL:
+        raise UndefinedPhase(
+            f"overlap product magnitude {smallest:.3e} is below "
+            f"{PHASE_SINGULAR_TOL:.0e}; the phase is singular"
+        )
+    return wrap_angle(np.angle(product))
 
 
-def three_vertex_phase_qutrit(a: SymmetricState, b: SymmetricState, c: SymmetricState) -> float:
-    """Same contract as the qubit version, with three-component inner products."""
-    return _phase_of_product(qutrit_inner(a, c) * qutrit_inner(c, b) * qutrit_inner(b, a))
-
-
-def symmetrize(p: QubitState, q: QubitState) -> SymmetricState:
+def symmetrize(p, q):
     """Normalized symmetrization of |p>|q> + |q>|p>.
 
     Always well defined: the squared norm before normalization is
     2(1 + |<p|q>|^2) >= 2.  Exactly symmetric in its arguments.
     """
-    return SymmetricState.of(
-        2.0 * p.amp_h * q.amp_h,
-        math.sqrt(2.0) * (p.amp_h * q.amp_v + p.amp_v * q.amp_h),
-        2.0 * p.amp_v * q.amp_v,
-    )
+    (ph, pv), (qh, qv) = _parts(p), _parts(q)
+    parts = _unit((2.0 * ph * qh, math.sqrt(2.0) * (ph * qv + pv * qh), 2.0 * pv * qv))
+    if isinstance(p, _Unit) and isinstance(q, _Unit):
+        return SymmetricState(*parts)
+    return np.stack(np.broadcast_arrays(*parts), -1)
 
 
 def _qubit_from_root(w: complex) -> QubitState:
@@ -196,29 +188,24 @@ def majorana_decompose(s: SymmetricState) -> tuple[QubitState, QubitState]:
             return QubitState(0.0, 1.0), QubitState(0.0, 1.0)
         return _qubit_from_root(-c / b), QubitState(0.0, 1.0)
     disc = b * b - 4.0 * a * c
-    # Near-degenerate discriminants lose the root splitting to rounding;
-    # the coincident pair is then the accurate reconstruction.
-    if abs(disc) < 1e-24 * max(abs(b * b), abs(4.0 * a * c), 1e-30):
-        w = -b / (2.0 * a)
-        return _qubit_from_root(w), _qubit_from_root(w)
     sq = cmath.sqrt(disc)
     if (b.conjugate() * sq).real < 0.0:
         sq = -sq
     t = -(b + sq) / 2.0
-    if t == 0.0:
+    # Near-degenerate discriminants lose the root splitting to rounding;
+    # the coincident pair is then the accurate reconstruction.
+    if t == 0.0 or abs(disc) < 1e-24 * max(abs(b * b), abs(4.0 * a * c), 1e-30):
         w = -b / (2.0 * a)
         return _qubit_from_root(w), _qubit_from_root(w)
     return _qubit_from_root(t / a), _qubit_from_root(c / t)
 
 
-def bloch_from_qubit(p: QubitState) -> BlochVector:
+def bloch_from_qubit(p):
     """Bloch map with |H> at the +z pole."""
-    cross = p.amp_h.conjugate() * p.amp_v
-    return BlochVector(
-        2.0 * cross.real,
-        2.0 * cross.imag,
-        abs(p.amp_h) ** 2 - abs(p.amp_v) ** 2,
-    )
+    h, v = _parts(p)
+    cross = h.conjugate() * v
+    parts = (2.0 * cross.real, 2.0 * cross.imag, abs(h) ** 2 - abs(v) ** 2)
+    return BlochVector(*parts) if isinstance(p, _Unit) else np.stack(np.broadcast_arrays(*parts), -1)
 
 
 def qubit_from_bloch(v: BlochVector) -> QubitState:
@@ -228,29 +215,28 @@ def qubit_from_bloch(v: BlochVector) -> QubitState:
     return QubitState.of(math.cos(half), math.sin(half) * cmath.exp(1j * azimuth))
 
 
-def spherical_triangle_signed_area(v1: BlochVector, v2: BlochVector, v3: BlochVector) -> float:
+def spherical_triangle_signed_area(v1, v2, v3):
     """Oriented solid angle of the geodesic triangle (v1, v2, v3), in (-2pi, 2pi].
 
     Sign convention: Omega(+z, +x, +y) = +pi/2, matching the phase-area law
     gamma(a, b, c) = -Omega/2 (mod 2pi) for the Bloch images of the states.
-    Uses the two-argument arctangent (Van Oosterom-Strackee) form.
+    Uses the two-argument arctangent (Van Oosterom-Strackee) form.  Raises
+    DegenerateTriangle if two vertices of any element are antipodal.
     """
-    a, b, c = v1.vec, v2.vec, v3.vec
-    for u, w in ((a, b), (b, c), (c, a)):
-        if float(np.dot(u, w)) <= -1.0 + ANTIPODAL_TOL:
-            raise DegenerateTriangle("two vertices are antipodal within tolerance")
-    num = float(np.dot(a, np.cross(b, c)))
-    den = 1.0 + float(np.dot(a, b)) + float(np.dot(b, c)) + float(np.dot(c, a))
-    return 2.0 * math.atan2(num, den)
+    ab, bc, ca = inner(v1, v2), inner(v2, v3), inner(v3, v1)
+    if np.any(np.minimum(np.minimum(ab, bc), ca) <= -1.0 + ANTIPODAL_TOL):
+        raise DegenerateTriangle("two vertices are antipodal within tolerance")
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = _parts(v1), _parts(v2), _parts(v3)
+    triple = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
+    omega = 2.0 * np.arctan2(triple, 1.0 + ab + bc + ca)
+    return float(omega) if np.ndim(omega) == 0 else omega
 
 
 def random_qubit(rng: np.random.Generator) -> QubitState:
     """Haar-random qubit state."""
-    z = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return QubitState.of(z[0], z[1])
+    return QubitState.of(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
 
 
 def random_symmetric(rng: np.random.Generator) -> SymmetricState:
     """Haar-random state of the symmetric subspace."""
-    z = rng.normal(size=3) + 1j * rng.normal(size=3)
-    return SymmetricState.of(z[0], z[1], z[2])
+    return SymmetricState.of(*(rng.normal(size=3) + 1j * rng.normal(size=3)))

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import QubitState, SymmetricState, qutrit_inner, wrap_angle
+from .core import QubitState, SymmetricState, inner, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_WAVELENGTH_M = 391e-9
@@ -120,25 +120,26 @@ def solve_waveplates(target: QubitState, kinds: Sequence[str], start: QubitState
     grid = np.stack(np.meshgrid(*[coarse] * len(kinds), indexing="ij"), -1).reshape(-1, len(kinds))
     leak, _ = _leak(retardances, grid, start.vec, perp)
     angles = grid[np.argsort(np.abs(leak), kind="stable")[:_REFINE_STARTS]]
+    lowest = float(np.min(np.abs(leak))) ** 2  # over every point evaluated, for the message
 
     for _ in range(_GAUSS_NEWTON_STEPS):
         leak, grad = _leak(retardances, angles, start.vec, perp)
+        lowest = min(lowest, float(np.min(np.abs(leak))) ** 2)
         jac = np.stack([grad.real, grad.imag], -2)
         residual = np.stack([leak.real, leak.imag], -1)
         angles = (angles - np.einsum("...ij,...j->...i", np.linalg.pinv(jac), residual)) % math.pi
     infidelity = np.abs(_leak(retardances, angles, start.vec, perp)[0]) ** 2
     best = int(np.argmin(infidelity))
     if infidelity[best] > _INFIDELITY_TOL:
-        raise Unreachable(
-            f"chain {kinds} cannot reach the target; best infidelity found {infidelity[best]:.3e}"
-        )
+        lowest = min(lowest, infidelity[best])
+        raise Unreachable(f"chain {kinds} cannot reach the target; best infidelity found {lowest:.3e}")
     settings = [WaveplateSetting(k, math.degrees(a)) for k, a in zip(kinds, angles[best])]
     return WaveplateSolution(settings, float(infidelity[best]))
 
 
 def projection_amplitude(arm_state: SymmetricState, projector_state: SymmetricState) -> complex:
     """<projector|arm> in the symmetric subspace."""
-    return qutrit_inner(projector_state, arm_state)
+    return inner(projector_state, arm_state)
 
 
 def _linear_angle_deg(state: QubitState) -> float:
@@ -168,7 +169,9 @@ def analyzer_hwp_settings(
     )
 
 
-_SYM_HV = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+# columns: |HH>, (|HV>+|VH>)/sqrt(2), |VV> in the product basis (|HH>, |HV>, |VH>, |VV>)
+_SYM_BASIS = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]) / np.array([1.0, math.sqrt(2.0), 1.0])
+_SYM_HV = _SYM_BASIS[:, 1]
 
 
 def projection_chain_amplitude(
@@ -191,7 +194,7 @@ def projection_chain_amplitude(
     )
     pair = np.kron(single, single)
     bra = pair.conj().T @ _SYM_HV
-    return complex(np.vdot(_SYM_HV, pair @ arm_state.product_basis_vec) / np.linalg.norm(bra))
+    return complex(np.vdot(_SYM_HV, pair @ _SYM_BASIS @ np.asarray(arm_state)) / np.linalg.norm(bra))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import QubitState, SymmetricState, symmetrize, wrap_angle
+from .core import QubitState, symmetrize, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,40 +33,46 @@ class InsufficientData(ValueError):
 
 @dataclass(frozen=True)
 class TripletParams:
-    """Angles of the standard-triplet family, in degrees."""
+    """Angles of the standard-triplet family, in degrees: numbers, or numpy
+    arrays that broadcast together (make_states and make_triplet then return arrays)."""
 
     theta_deg: float
     chi_deg: float
     phi_deg: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta_deg < 180.0:
-            raise ValueError(f"theta_deg must lie in [0, 180), got {self.theta_deg}")
-        if not 0.0 <= self.chi_deg < 360.0:
-            raise ValueError(f"chi_deg must lie in [0, 360), got {self.chi_deg}")
-        if not 0.0 <= self.phi_deg < 360.0:
-            raise ValueError(f"phi_deg must lie in [0, 360), got {self.phi_deg}")
+        theta, chi, phi = self.theta_deg, self.chi_deg, self.phi_deg
+        if isinstance(theta, np.ndarray) or isinstance(chi, np.ndarray) or isinstance(phi, np.ndarray):
+            # an array passes where its extremes pass (NaN stays NaN)
+            theta, chi, phi = (np.min(x) if np.min(x) < 0.0 else np.max(x) for x in (theta, chi, phi))
+        if not 0.0 <= theta < 180.0:
+            raise ValueError(f"theta_deg must lie in [0, 180), got {theta}")
+        if not 0.0 <= chi < 360.0:
+            raise ValueError(f"chi_deg must lie in [0, 360), got {chi}")
+        if not 0.0 <= phi < 360.0:
+            raise ValueError(f"phi_deg must lie in [0, 360), got {phi}")
 
 
-def make_states(p: TripletParams) -> tuple[QubitState, QubitState, QubitState, QubitState]:
+def make_states(p: TripletParams):
     """The four constituent qubit states (psi1, psi2, psi3, psi3_mirror).
 
     psi1/psi2 are the +-i anchor pair at half-angle theta from H; psi3 and
     its mirror are linear polarizations at chi/4 +- phi/2 from horizontal
-    (the mirror with the opposite V sign).
+    (the mirror with the opposite V sign).  Arrays of shape (..., 2) for array params.
     """
-    th = math.radians(p.theta_deg)
-    c, s = math.cos(th / 2.0), math.sin(th / 2.0)
-    a = math.radians(p.chi_deg / 4.0 + p.phi_deg / 2.0)
-    b = math.radians(p.chi_deg / 4.0 - p.phi_deg / 2.0)
-    psi1 = QubitState(c, 1j * s)
-    psi2 = QubitState(c, -1j * s)
-    psi3 = QubitState(math.cos(a), math.sin(a))
-    psi3_mirror = QubitState(math.cos(b), -math.sin(b))
-    return psi1, psi2, psi3, psi3_mirror
+    theta, chi, phi = p.theta_deg, p.chi_deg, p.phi_deg
+    m, state = math, QubitState
+    if isinstance(theta, np.ndarray) or isinstance(chi, np.ndarray) or isinstance(phi, np.ndarray):
+        theta, chi, phi = np.broadcast_arrays(theta, chi, phi)
+        m, state = np, lambda *parts: np.stack(parts, -1)
+    th = m.radians(theta)
+    c, s = m.cos(th / 2.0), m.sin(th / 2.0)
+    a = m.radians(chi / 4.0 + phi / 2.0)
+    b = m.radians(chi / 4.0 - phi / 2.0)
+    return state(c, 1j * s), state(c, -1j * s), state(m.cos(a), m.sin(a)), state(m.cos(b), -m.sin(b))
 
 
-def make_triplet(p: TripletParams) -> tuple[SymmetricState, SymmetricState, SymmetricState]:
+def make_triplet(p: TripletParams):
     """The standard triplet: two coincident-pair states and the symmetrized pair."""
     psi1, psi2, psi3, psi3_mirror = make_states(p)
     return symmetrize(psi1, psi1), symmetrize(psi2, psi2), symmetrize(psi3, psi3_mirror)
@@ -81,13 +87,10 @@ def analytic_qubit_phase(theta_deg, chi_deg, phi_deg, mirrored: bool = False):
     poles floating point lands on the left one-sided limit.  Broadcasts over
     array inputs.
     """
+    sign = 1.0 if mirrored else -1.0
     t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
-    if mirrored:
-        arg = np.radians(np.asarray(chi_deg, dtype=float) / 4.0 - np.asarray(phi_deg, dtype=float) / 2.0)
-        out = 2.0 * np.arctan(t * np.tan(arg))
-    else:
-        arg = np.radians(np.asarray(chi_deg, dtype=float) / 4.0 + np.asarray(phi_deg, dtype=float) / 2.0)
-        out = -2.0 * np.arctan(t * np.tan(arg))
+    arg = np.radians(np.asarray(chi_deg, dtype=float) / 4.0 - sign * np.asarray(phi_deg, dtype=float) / 2.0)
+    out = 2.0 * sign * np.arctan(t * np.tan(arg))
     return float(out) if np.ndim(out) == 0 else out
 
 

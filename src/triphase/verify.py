@@ -16,20 +16,20 @@ import numpy as np
 
 from . import figures
 from .core import (
-    UndefinedPhase,
+    PHASE_SINGULAR_TOL,
+    QubitState,
+    SymmetricState,
+    _unit,
     bloch_from_qubit,
+    inner,
     majorana_decompose,
-    qubit_inner,
-    qutrit_inner,
     random_qubit,
     random_symmetric,
     spherical_triangle_signed_area,
     symmetrize,
-    three_vertex_phase_qubit,
-    three_vertex_phase_qutrit,
+    three_vertex_phase,
     wrap_angle,
 )
-from .core import QubitState
 from .eraser import (
     default_delta_grid,
     extract_fringe_phase,
@@ -64,9 +64,38 @@ class CriterionResult:
         return f"{status} {self.index:02d} {self.name}: {self.detail}{suffix}"
 
 
-def _circular_distance_deg(a: float, b: float) -> float:
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
+def _off_poles(margin: float, *grid):
+    """The grid points whose phi (deg, last) is at least ``margin`` from both
+    formula poles 180 +- chi/2 (chi second to last), circularly."""
+    keep = True
+    for pole in ((180.0 - grid[-2] / 2.0) % 360.0, (180.0 + grid[-2] / 2.0) % 360.0):
+        d = np.abs(grid[-1] - pole) % 360.0
+        keep = keep & (np.minimum(d, 360.0 - d) >= margin)
+    return [x[keep] for x in grid]
+
+
+def _haar(rng: np.random.Generator, shape: tuple, dim: int) -> np.ndarray:
+    """Haar-random states of shape (*shape, dim), drawn as the same number of
+    random_qubit (dim 2) or random_symmetric (dim 3) calls would draw them."""
+    z = rng.normal(size=(*shape, 2, dim))
+    return np.stack(_unit(list(np.moveaxis(z[..., 0, :] + 1j * z[..., 1, :], -1, 0))), -1)
+
+
+def _first_passing(draw, passes, n: int):
+    """The first n candidates that pass, in draw order, and the number rejected.
+
+    ``draw(m)`` returns m candidates, consuming the generator as m single draws
+    would, and ``passes`` maps them to a mask.  Each round draws only the number
+    still missing, so the draws are those of a loop that redraws each rejection.
+    """
+    kept, found, drawn = [], 0, 0
+    while found < n:
+        batch = draw(n - found)
+        drawn += len(batch)
+        batch = batch[passes(batch)]
+        kept.append(batch)
+        found += len(batch)
+    return np.concatenate(kept), drawn - n
 
 
 def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> CriterionResult:
@@ -78,45 +107,31 @@ def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> Criteri
     (its UndefinedPhase guard fires); those samples are tallied, required to
     occur only there, and the theta = 90 analytic values are validated
     against the direct route just inside the singular point instead.
+    ``total_phase_fn`` broadcasts over arrays.
     """
     t0 = time.perf_counter()
-    worst = 0.0
-    n_compared = 0
-    n_singular = 0
-    n_bad_singular = 0
-    for theta in (2.0, 10.0, 20.0, 45.0, 90.0):
-        for chi in (0.0, 60.0, 120.0, 180.0):
-            poles = [(180.0 - chi / 2.0) % 360.0, (180.0 + chi / 2.0) % 360.0]
-            for phi in np.arange(0.0, 360.0, 1.0):
-                if min(_circular_distance_deg(phi, p) for p in poles) < 0.5:
-                    continue
-                s1, s2, s3 = make_triplet(TripletParams(theta, chi, float(phi)))
-                try:
-                    direct = three_vertex_phase_qutrit(s1, s2, s3)
-                except UndefinedPhase:
-                    n_singular += 1
-                    if abs(qutrit_inner(s2, s1)) >= 1e-12:
-                        n_bad_singular += 1
-                    continue
-                diff = abs(wrap_angle(total_phase_fn(theta, chi, float(phi)) - direct))
-                worst = max(worst, diff)
-                n_compared += 1
+    theta, chi, phi = _off_poles(0.5, *np.meshgrid(
+        (2.0, 10.0, 20.0, 45.0, 90.0), (0.0, 60.0, 120.0, 180.0), np.arange(0.0, 360.0, 1.0), indexing="ij"
+    ))
+    s1, s2, s3 = make_triplet(TripletParams(theta, chi, phi))
+    singular = np.abs(inner(s1, s3) * inner(s3, s2) * inner(s2, s1)) < PHASE_SINGULAR_TOL
+    n_singular = int(singular.sum())
+    n_bad_singular = int(np.sum(singular & (np.abs(inner(s2, s1)) >= 1e-12)))
+    ok = ~singular
+    direct = three_vertex_phase(s1[ok], s2[ok], s3[ok])
+    diff = np.abs(wrap_angle(total_phase_fn(theta[ok], chi[ok], phi[ok]) - direct))
+    worst = float(np.max(diff, initial=0.0))
+    n_compared = int(ok.sum())
 
     # theta = 90 row: validate the analytic values in the limit.  The offset
     # keeps the anchor overlap above the UndefinedPhase guard while bounding
     # the curve shift by |dgamma/dtheta| <= 2, i.e. below ~4e-5 rad.
     eps = 1e-3
-    worst_limit = 0.0
-    for chi in (0.0, 60.0, 120.0, 180.0):
-        poles = [(180.0 - chi / 2.0) % 360.0, (180.0 + chi / 2.0) % 360.0]
-        for phi in np.arange(3.0, 360.0, 7.0):
-            if min(_circular_distance_deg(float(phi), p) for p in poles) < 1.0:
-                continue
-            s1, s2, s3 = make_triplet(TripletParams(90.0 - eps, chi, float(phi)))
-            lim = three_vertex_phase_qutrit(s1, s2, s3)
-            worst_limit = max(
-                worst_limit, abs(wrap_angle(total_phase_fn(90.0, chi, float(phi)) - lim))
-            )
+    chi, phi = _off_poles(
+        1.0, *np.meshgrid((0.0, 60.0, 120.0, 180.0), np.arange(3.0, 360.0, 7.0), indexing="ij")
+    )
+    lim = three_vertex_phase(*make_triplet(TripletParams(90.0 - eps, chi, phi)))
+    worst_limit = float(np.max(np.abs(wrap_angle(total_phase_fn(90.0, chi, phi) - lim))))
 
     seconds = time.perf_counter() - t0
     passed = (
@@ -201,23 +216,18 @@ def criterion_area_phase() -> CriterionResult:
     """1000 random qubit triples: wrap(gamma + Omega/2) = 0 within 1e-9."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260810)
-    worst = 0.0
-    redraws = 0
-    for _ in range(1000):
-        while True:
-            a, b, c = random_qubit(rng), random_qubit(rng), random_qubit(rng)
-            product = qubit_inner(a, c) * qubit_inner(c, b) * qubit_inner(b, a)
-            if abs(product) >= 1e-6:
-                break
-            redraws += 1
-        gamma = three_vertex_phase_qubit(a, b, c)
-        omega = spherical_triangle_signed_area(
-            bloch_from_qubit(a), bloch_from_qubit(b), bloch_from_qubit(c)
-        )
-        worst = max(worst, abs(wrap_angle(gamma + omega / 2.0)))
+    triples, redraws = _first_passing(
+        lambda m: _haar(rng, (m, 3), 2),
+        lambda t: np.abs(inner(t[:, 0], t[:, 2]) * inner(t[:, 2], t[:, 1]) * inner(t[:, 1], t[:, 0])) >= 1e-6,
+        1000,
+    )
+    a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
+    gamma = three_vertex_phase(a, b, c)
+    omega = spherical_triangle_signed_area(bloch_from_qubit(a), bloch_from_qubit(b), bloch_from_qubit(c))
+    worst = float(np.max(np.abs(wrap_angle(gamma + omega / 2.0))))
     seconds = time.perf_counter() - t0
     passed = worst < 1e-9
-    detail = f"max|wrap(gamma + Omega/2)|={worst:.3e} over 1000 triples ({redraws} redraws)"
+    detail = f"max|wrap(gamma + Omega/2)|={worst:.3e} over {len(triples)} triples ({redraws} redraws)"
     return CriterionResult(4, "area-phase-law", passed, detail, seconds)
 
 
@@ -229,7 +239,7 @@ def criterion_majorana_roundtrip() -> CriterionResult:
     for _ in range(900):
         s = random_symmetric(rng)
         p, q = majorana_decompose(s)
-        worst = min(worst, abs(qutrit_inner(symmetrize(p, q), s)))
+        worst = min(worst, abs(inner(symmetrize(p, q), s)))
     for _ in range(100):
         p = random_qubit(rng)
         eps = 10.0 ** rng.uniform(-10.0, -4.0)
@@ -237,7 +247,7 @@ def criterion_majorana_roundtrip() -> CriterionResult:
         q = QubitState.of(*(p.vec + eps * dz))
         s = symmetrize(p, q)
         pp, qq = majorana_decompose(s)
-        worst = min(worst, abs(qutrit_inner(symmetrize(pp, qq), s)))
+        worst = min(worst, abs(inner(symmetrize(pp, qq), s)))
     seconds = time.perf_counter() - t0
     passed = worst >= 1.0 - 1e-9
     detail = f"min roundtrip fidelity={worst:.15f} over 1000 states"
@@ -249,26 +259,19 @@ def criterion_eraser_equivalence() -> CriterionResult:
     difference equals the direct three-vertex phase difference within 1e-9."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(31415926)
-    worst = 0.0
-    for _ in range(500):
-        while True:
-            states = [random_symmetric(rng) for _ in range(4)]
-            overlaps = [
-                abs(qutrit_inner(states[i], states[j]))
-                for i in range(4)
-                for j in range(i + 1, 4)
-            ]
-            if min(overlaps) >= 0.05:
-                break
-        s1, s2, p_a, p_b = states
-        shift = phase_variation(s1, s2, p_a, p_b)
-        direct = wrap_angle(
-            three_vertex_phase_qutrit(s1, s2, p_b) - three_vertex_phase_qutrit(s1, s2, p_a)
-        )
-        worst = max(worst, abs(wrap_angle(shift - direct)))
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    sets, _ = _first_passing(
+        lambda m: _haar(rng, (m, 4), 3),
+        lambda s: np.min([np.abs(inner(s[:, i], s[:, j])) for i, j in pairs], axis=0) >= 0.05,
+        500,
+    )
+    s1, s2, p_a, p_b = (sets[:, k] for k in range(4))
+    direct = wrap_angle(three_vertex_phase(s1, s2, p_b) - three_vertex_phase(s1, s2, p_a))
+    shift = np.array([phase_variation(*(SymmetricState(*v) for v in states)) for states in sets])
+    worst = float(np.max(np.abs(wrap_angle(shift - direct))))
     seconds = time.perf_counter() - t0
     passed = worst < 1e-9
-    detail = f"max|shift - direct|={worst:.3e} over 500 state sets"
+    detail = f"max|shift - direct|={worst:.3e} over {len(sets)} state sets"
     return CriterionResult(6, "eraser-equivalence", passed, detail, seconds)
 
 
@@ -277,25 +280,30 @@ def criterion_projection_chain() -> CriterionResult:
     200 random settings, |amplitude| and arm-amplitude ratios within 1e-12."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(8086)
+
+    def passes(angles):
+        arm1, arm2, proj = make_triplet(TripletParams(*angles.T))
+        d1, d2 = projection_amplitude(arm1, proj), projection_amplitude(arm2, proj)
+        return np.minimum(abs(d1), abs(d2)) >= 0.05
+
+    settings, _ = _first_passing(
+        lambda m: rng.uniform((2.0, 0.0, 0.0), (88.0, 360.0, 360.0), size=(m, 3)), passes, 200
+    )
     worst_mag = 0.0
     worst_ratio = 0.0
-    for _ in range(200):
-        while True:
-            params = TripletParams(rng.uniform(2.0, 88.0), rng.uniform(0.0, 360.0), rng.uniform(0.0, 360.0))
-            psi1, psi2, psi3, psi3m = make_states(params)
-            arm1, arm2 = symmetrize(psi1, psi1), symmetrize(psi2, psi2)
-            proj = symmetrize(psi3, psi3m)
-            d1 = projection_amplitude(arm1, proj)
-            d2 = projection_amplitude(arm2, proj)
-            if min(abs(d1), abs(d2)) >= 0.05:
-                break
+    for angles in settings:
+        params = TripletParams(*map(float, angles))
+        (arm1, arm2, proj), (_, _, psi3, psi3m) = make_triplet(params), make_states(params)
+        d1, d2 = projection_amplitude(arm1, proj), projection_amplitude(arm2, proj)
         c1 = projection_chain_amplitude(arm1, psi3, psi3m)
         c2 = projection_chain_amplitude(arm2, psi3, psi3m)
         worst_mag = max(worst_mag, abs(abs(c1) - abs(d1)), abs(abs(c2) - abs(d2)))
         worst_ratio = max(worst_ratio, abs(c1 / c2 - d1 / d2))
     seconds = time.perf_counter() - t0
     passed = worst_mag < 1e-12 and worst_ratio < 1e-12
-    detail = f"max |amp| err={worst_mag:.3e}, max arm-ratio err={worst_ratio:.3e} over 200 settings"
+    detail = (
+        f"max |amp| err={worst_mag:.3e}, max arm-ratio err={worst_ratio:.3e} over {len(settings)} settings"
+    )
     return CriterionResult(7, "projection-chain", passed, detail, seconds)
 
 

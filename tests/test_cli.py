@@ -143,6 +143,8 @@ class TestFringe:
     def test_validation_errors(self, tmp_path, monkeypatch, capsys):
         cases = [
             (["--delta-steps", "2"], "delta-steps"),
+            (["--delta-steps", "1000001"], "delta-steps"),  # rejected before any allocation
+            (["--noise-photons", "100", "--seed", "-1"], "seed"),
             (["--noise-photons", "-1"], "noise-photons"),
             (["--noise-photons", "inf"], "noise-photons"),
             (["--noise-photons", "nan"], "noise-photons"),

@@ -14,18 +14,17 @@ from triphase.core import (
     SymmetricState,
     UndefinedPhase,
     bloch_from_qubit,
+    inner,
     majorana_decompose,
     qubit_from_bloch,
-    qubit_inner,
-    qutrit_inner,
     random_qubit,
     random_symmetric,
     spherical_triangle_signed_area,
     symmetrize,
-    three_vertex_phase_qubit,
-    three_vertex_phase_qutrit,
+    three_vertex_phase,
     wrap_angle,
 )
+from triphase.triplet import TripletParams, make_triplet
 
 H = QubitState(1, 0)
 V = QubitState(0, 1)
@@ -41,6 +40,8 @@ class TestStates:
     def test_constructor_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             QubitState(1, 1)
+        with pytest.raises(ValueError):
+            QubitState(1, 0)._replace(amp_v=1)
         with pytest.raises(ValueError):
             SymmetricState(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
@@ -59,67 +60,107 @@ class TestStates:
         assert abs(wrap_angle(0.3) - 0.3) < 1e-15
 
 
-class TestThreeVertexQubit:
+class _ThreeVertexLaws:
+    """The laws of three_vertex_phase in dimension ``d``; each subclass fixes d."""
+
+    d: int
+    gauge_seed: int
+    cyclic_seed: int
+
+    def state(self, *amps):
+        return (QubitState if self.d == 2 else SymmetricState).of(*amps)
+
+    def random(self, rng):
+        return (random_qubit if self.d == 2 else random_symmetric)(rng)
+
     def test_identical_states_zero(self):
-        assert three_vertex_phase_qubit(H, H, H) == 0.0
+        e0 = self.state(1, *[0] * (self.d - 1))
+        assert three_vertex_phase(e0, e0, e0) == 0.0
+
+    def test_orthogonal_pair_raises(self):
+        e0 = self.state(1, *[0] * (self.d - 1))
+        e1 = self.state(0, 1, *[0] * (self.d - 2))
+        for c in (self.state(*[1] * self.d), self.state(1, *[1j] * (self.d - 1))):
+            with pytest.raises(UndefinedPhase):
+                three_vertex_phase(e0, e1, c)
+
+    def test_gauge_invariance(self):
+        rng = np.random.default_rng(self.gauge_seed)
+        for _ in range(1000):
+            a, b, c = (self.random(rng) for _ in range(3))
+            base = three_vertex_phase(a, b, c)
+            u, v, w = np.exp(1j * rng.uniform(-math.pi, math.pi, size=3))
+            a2, b2, c2 = (type(s)(*(z * x for x in s)) for z, s in ((u, a), (v, b), (w, c)))
+            assert angdiff(three_vertex_phase(a2, b2, c2), base) <= 1e-12
+            assert angdiff(three_vertex_phase(a2, b, c), base) <= 1e-12
+
+    def test_cyclic_and_swap(self):
+        rng = np.random.default_rng(self.cyclic_seed)
+        for _ in range(1000):
+            a, b, c = (self.random(rng) for _ in range(3))
+            g = three_vertex_phase(a, b, c)
+            assert angdiff(three_vertex_phase(b, c, a), g) <= 1e-12
+            assert angdiff(three_vertex_phase(c, a, b), g) <= 1e-12
+            assert angdiff(three_vertex_phase(a, c, b), -g) <= 1e-12
+
+
+class TestThreeVertexQubit(_ThreeVertexLaws):
+    d, gauge_seed, cyclic_seed = 2, 11, 12
 
     def test_h_d_r_quarter_turn(self):
         # independent oracle: multiply the overlaps out by hand
-        product = qubit_inner(H, R) * qubit_inner(R, D) * qubit_inner(D, H)
+        product = inner(H, R) * inner(R, D) * inner(D, H)
         assert product == pytest.approx((1 - 1j) / 4, abs=1e-15)
-        gamma = three_vertex_phase_qubit(H, D, R)
+        gamma = three_vertex_phase(H, D, R)
         assert gamma == pytest.approx(-math.pi / 4, abs=1e-12)
         assert gamma == pytest.approx(cmath.phase(product), abs=1e-15)
 
-    def test_orthogonal_pair_raises(self):
+
+class TestThreeVertexQutrit(_ThreeVertexLaws):
+    d, gauge_seed, cyclic_seed = 3, 13, 13
+
+
+class TestBatched:
+    """Arrays of shape (..., d) give, element by element, the scalar results."""
+
+    def test_matches_scalar_results(self):
+        rng = np.random.default_rng(19)
+        qubits = [[random_qubit(rng) for _ in range(3)] for _ in range(40)]
+        qutrits = [[random_symmetric(rng) for _ in range(3)] for _ in range(40)]
+        for states in (qubits, qutrits):
+            arr = np.array(states)
+            a, b, c = arr[:, 0], arr[:, 1], arr[:, 2]
+            assert inner(a, b) == pytest.approx([inner(x, y) for x, y, _ in states], abs=1e-15)
+            scalar = [three_vertex_phase(*s) for s in states]
+            assert np.max(np.abs(wrap_angle(three_vertex_phase(a, b, c) - scalar))) < 1e-14
+        a, b, c = (np.array(qubits)[:, k] for k in range(3))
+        assert np.allclose(symmetrize(a, b), [symmetrize(x, y).vec for x, y, _ in qubits], rtol=0, atol=1e-15)
+        va, vb, vc = bloch_from_qubit(a), bloch_from_qubit(b), bloch_from_qubit(c)
+        assert np.allclose(va, [bloch_from_qubit(x).vec for x, _, _ in qubits], rtol=0, atol=1e-15)
+        omega = spherical_triangle_signed_area(va, vb, vc)
+        scalar = [spherical_triangle_signed_area(*map(bloch_from_qubit, s)) for s in qubits]
+        assert np.max(np.abs(omega - scalar)) < 1e-14
+
+        theta, chi, phi = rng.uniform(0, 180, 30), rng.uniform(0, 360, 30), rng.uniform(0, 360, 30)
+        batched = make_triplet(TripletParams(theta, chi, phi))
+        for k, params in enumerate(map(TripletParams, theta, chi, phi)):
+            for got, want in zip(batched, make_triplet(params)):
+                assert np.allclose(got[k], want.vec, rtol=0, atol=1e-15)
+        broadcast = make_triplet(TripletParams(np.array(10.0), 120.0, np.array([[30.0], [60.0]])))
+        assert all(s.shape == (2, 1, 3) for s in broadcast)
+        with pytest.raises(ValueError, match="phi_deg"):
+            TripletParams(theta, chi, np.append(phi[1:], 360.0))
+
+        with pytest.raises(ValueError, match="dimensions 2 and 3"):
+            inner(a, np.array(qutrits)[:, 0])
+        # one singular or antipodal element fails the whole batch
+        h, v = np.array([1, 0j]), np.array([0, 1 + 0j])
         with pytest.raises(UndefinedPhase):
-            three_vertex_phase_qubit(H, V, D)
-        with pytest.raises(UndefinedPhase):
-            three_vertex_phase_qubit(H, V, R)
-
-    def test_gauge_invariance(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            a, b, c = (random_qubit(rng) for _ in range(3))
-            base = three_vertex_phase_qubit(a, b, c)
-            u, v, w = np.exp(1j * rng.uniform(-math.pi, math.pi, size=3))
-            a2 = QubitState(u * a.amp_h, u * a.amp_v)
-            b2 = QubitState(v * b.amp_h, v * b.amp_v)
-            c2 = QubitState(w * c.amp_h, w * c.amp_v)
-            assert angdiff(three_vertex_phase_qubit(a2, b2, c2), base) <= 1e-12
-
-    def test_cyclic_and_swap(self):
-        rng = np.random.default_rng(12)
-        for _ in range(1000):
-            a, b, c = (random_qubit(rng) for _ in range(3))
-            g = three_vertex_phase_qubit(a, b, c)
-            assert angdiff(three_vertex_phase_qubit(b, c, a), g) <= 1e-12
-            assert angdiff(three_vertex_phase_qubit(c, a, b), g) <= 1e-12
-            assert angdiff(three_vertex_phase_qubit(a, c, b), -g) <= 1e-12
-
-
-class TestThreeVertexQutrit:
-    def test_identical_states_zero(self):
-        hh = SymmetricState(1, 0, 0)
-        assert three_vertex_phase_qutrit(hh, hh, hh) == 0.0
-
-    def test_orthogonal_pair_raises(self):
-        a = SymmetricState(1, 0, 0)
-        b = SymmetricState(0, 1, 0)
-        c = SymmetricState.of(1, 1, 1)
-        with pytest.raises(UndefinedPhase):
-            three_vertex_phase_qutrit(a, b, c)
-
-    def test_cyclic_swap_gauge(self):
-        rng = np.random.default_rng(13)
-        for _ in range(1000):
-            a, b, c = (random_symmetric(rng) for _ in range(3))
-            g = three_vertex_phase_qutrit(a, b, c)
-            assert angdiff(three_vertex_phase_qutrit(b, c, a), g) <= 1e-12
-            assert angdiff(three_vertex_phase_qutrit(a, c, b), -g) <= 1e-12
-            u = np.exp(1j * rng.uniform(-math.pi, math.pi))
-            a2 = SymmetricState(u * a.amp_hh, u * a.amp_sym, u * a.amp_vv)
-            assert angdiff(three_vertex_phase_qutrit(a2, b, c), g) <= 1e-12
+            three_vertex_phase(np.stack([a[0], h]), np.stack([b[0], v]), np.stack([c[0], h]))
+        with pytest.raises(DegenerateTriangle):
+            spherical_triangle_signed_area(
+                np.stack([va[0], [0, 0, 1.0]]), np.stack([vb[0], [0, 0, -1.0]]), vc[:2]
+            )
 
 
 class TestSymmetrize:
@@ -155,21 +196,21 @@ class TestSymmetrize:
 class TestMajorana:
     def test_coincident_pole(self):
         p, q = majorana_decompose(SymmetricState(1, 0, 0))
-        assert abs(qubit_inner(p, H)) == pytest.approx(1.0, abs=1e-12)
-        assert abs(qubit_inner(q, H)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(inner(p, H)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(inner(q, H)) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_hv(self):
         p, q = majorana_decompose(SymmetricState(0, 1, 0))
-        fids = sorted([abs(qubit_inner(p, H)), abs(qubit_inner(q, H))])
+        fids = sorted([abs(inner(p, H)), abs(inner(q, H))])
         assert fids[1] == pytest.approx(1.0, abs=1e-12)
-        fids = sorted([abs(qubit_inner(p, V)), abs(qubit_inner(q, V))])
+        fids = sorted([abs(inner(p, V)), abs(inner(q, V))])
         assert fids[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_degree_drop_gives_vertical(self):
         s = SymmetricState.of(0, 0.6, 0.8)
         p, q = majorana_decompose(s)
         assert q.amp_h == 0.0 and abs(q.amp_v) == 1.0
-        assert abs(qutrit_inner(symmetrize(p, q), s)) >= 1.0 - 1e-12
+        assert abs(inner(symmetrize(p, q), s)) >= 1.0 - 1e-12
 
     def test_vv_state(self):
         p, q = majorana_decompose(SymmetricState(0, 0, 1))
@@ -180,7 +221,7 @@ class TestMajorana:
         for _ in range(1000):
             s = random_symmetric(rng)
             p, q = majorana_decompose(s)
-            assert abs(qutrit_inner(symmetrize(p, q), s)) >= 1.0 - 1e-9
+            assert abs(inner(symmetrize(p, q), s)) >= 1.0 - 1e-9
 
     def test_roundtrip_near_degenerate(self):
         rng = np.random.default_rng(16)
@@ -190,7 +231,7 @@ class TestMajorana:
             q = QubitState.of(*(p.vec + eps * (rng.normal(size=2) + 1j * rng.normal(size=2))))
             s = symmetrize(p, q)
             pp, qq = majorana_decompose(s)
-            assert abs(qutrit_inner(symmetrize(pp, qq), s)) >= 1.0 - 1e-9
+            assert abs(inner(symmetrize(pp, qq), s)) >= 1.0 - 1e-9
 
 
 class TestBloch:
@@ -205,11 +246,11 @@ class TestBloch:
         for _ in range(1000):
             p = random_qubit(rng)
             back = qubit_from_bloch(bloch_from_qubit(p))
-            assert abs(qubit_inner(back, p)) >= 1.0 - 1e-12
+            assert abs(inner(back, p)) >= 1.0 - 1e-12
 
     def test_poles(self):
-        assert abs(qubit_inner(qubit_from_bloch(BlochVector(0, 0, 1)), H)) == pytest.approx(1.0)
-        assert abs(qubit_inner(qubit_from_bloch(BlochVector(0, 0, -1)), V)) == pytest.approx(1.0)
+        assert abs(inner(qubit_from_bloch(BlochVector(0, 0, 1)), H)) == pytest.approx(1.0)
+        assert abs(inner(qubit_from_bloch(BlochVector(0, 0, -1)), V)) == pytest.approx(1.0)
 
 
 class TestSolidAngle:
@@ -232,10 +273,10 @@ class TestSolidAngle:
         rng = np.random.default_rng(18)
         for _ in range(1000):
             a, b, c = (random_qubit(rng) for _ in range(3))
-            product = qubit_inner(a, c) * qubit_inner(c, b) * qubit_inner(b, a)
+            product = inner(a, c) * inner(c, b) * inner(b, a)
             if abs(product) < 1e-6:
                 continue
-            gamma = three_vertex_phase_qubit(a, b, c)
+            gamma = three_vertex_phase(a, b, c)
             omega = spherical_triangle_signed_area(
                 bloch_from_qubit(a), bloch_from_qubit(b), bloch_from_qubit(c)
             )

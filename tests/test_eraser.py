@@ -2,6 +2,7 @@
 fringes, phase extraction, noise statistics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import pytest
 from triphase.core import (
     QubitState,
     SymmetricState,
-    qutrit_inner,
+    inner,
     symmetrize,
-    three_vertex_phase_qutrit,
+    three_vertex_phase,
     wrap_angle,
 )
 from triphase.eraser import (
@@ -133,6 +134,24 @@ class TestSolveWaveplates:
         # half-wave plates keep linear light linear
         with pytest.raises(Unreachable):
             solve_waveplates(R, ("half", "half"), H)
+
+    def test_unreachable_message_reports_the_lowest_infidelity(self):
+        # the final Gauss-Newton iterates need not hold the lowest infidelity
+        # seen; the message reports the lowest over the grid and every iterate
+        start = QubitState.of(-0.6075 - 0.0498j, -0.1091 + 0.7852j)
+        target = QubitState.of(-0.4397 + 0.0972j, -0.0497 - 0.8915j)
+        with pytest.raises(Unreachable) as info:
+            solve_waveplates(target, ["quarter"], start)
+        printed = float(re.search(r"best infidelity found (\S+)$", str(info.value)).group(1))
+        two_a = np.linspace(0.0, TWO_PI, 360001)[:, None]
+        c, s = np.cos(two_a), np.sin(two_a)
+        retard = -1j  # quarter wave: (1 + r)/2 I + (1 - r)/2 (cos 2a sigma_z + sin 2a sigma_x)
+        out = 0.5 * (1 + retard) * start.vec + 0.5 * (1 - retard) * np.column_stack(
+            [c[:, 0] * start.amp_h + s[:, 0] * start.amp_v, s[:, 0] * start.amp_h - c[:, 0] * start.amp_v]
+        )
+        scan_min = float(np.min(1.0 - np.abs(out @ target.vec.conj()) ** 2))
+        assert scan_min == pytest.approx(0.1113, abs=1e-4)
+        assert scan_min <= printed <= 0.12
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -337,7 +356,7 @@ class TestPhaseVariation:
             while True:
                 states = [random_symmetric(rng) for _ in range(4)]
                 pairs = [
-                    abs(qutrit_inner(states[i], states[j]))
+                    abs(inner(states[i], states[j]))
                     for i in range(4)
                     for j in range(i + 1, 4)
                 ]
@@ -346,7 +365,7 @@ class TestPhaseVariation:
             s1, s2, pa, pb = states
             got = phase_variation(s1, s2, pa, pb)
             want = wrap_angle(
-                three_vertex_phase_qutrit(s1, s2, pb) - three_vertex_phase_qutrit(s1, s2, pa)
+                three_vertex_phase(s1, s2, pb) - three_vertex_phase(s1, s2, pa)
             )
             assert angdiff(got, want) < 1e-9
 

@@ -16,10 +16,8 @@ from triphase.core import (
     UndefinedPhase,
     bloch_from_qubit,
     majorana_decompose,
-    qubit_inner,
-    qutrit_inner,
-    three_vertex_phase_qubit,
-    three_vertex_phase_qutrit,
+    inner,
+    three_vertex_phase,
     wrap_angle,
 )
 from triphase.triplet import (
@@ -94,8 +92,8 @@ class TestMakeTriplet:
         _, _, psi3, psi3m = make_states(p)
         s3 = make_triplet(p)[2]
         got = majorana_decompose(s3)
-        fid_direct = min(abs(qubit_inner(got[0], psi3)), abs(qubit_inner(got[1], psi3m)))
-        fid_swapped = min(abs(qubit_inner(got[0], psi3m)), abs(qubit_inner(got[1], psi3)))
+        fid_direct = min(abs(inner(got[0], psi3)), abs(inner(got[1], psi3m)))
+        fid_swapped = min(abs(inner(got[0], psi3m)), abs(inner(got[1], psi3)))
         assert max(fid_direct, fid_swapped) >= 1.0 - 1e-9
 
 
@@ -119,9 +117,9 @@ class TestAnalyticPhase:
     def test_agrees_with_direct_qubit_phase(self):
         for theta, chi, phi in [(10, 120, 60), (2, 60, 200), (45, 0, 77), (20, 180, 311)]:
             psi1, psi2, psi3, psi3m = make_states(TripletParams(theta, chi, phi))
-            direct = three_vertex_phase_qubit(psi1, psi2, psi3)
+            direct = three_vertex_phase(psi1, psi2, psi3)
             assert angdiff(analytic_qubit_phase(theta, chi, phi), direct) < 1e-9
-            direct_m = three_vertex_phase_qubit(psi1, psi2, psi3m)
+            direct_m = three_vertex_phase(psi1, psi2, psi3m)
             assert angdiff(analytic_qubit_phase(theta, chi, phi, mirrored=True), direct_m) < 1e-9
 
     def test_agrees_with_direct_qutrit_phase_grid(self):
@@ -131,17 +129,17 @@ class TestAnalyticPhase:
                     if min(abs(phi - p) for p in (180 - chi / 2, 180 + chi / 2)) < 1.0:
                         continue
                     s1, s2, s3 = make_triplet(TripletParams(theta, chi, float(phi)))
-                    direct = three_vertex_phase_qutrit(s1, s2, s3)
+                    direct = three_vertex_phase(s1, s2, s3)
                     assert angdiff(analytic_total_phase(theta, chi, phi), direct) < 1e-9
 
     def test_theta90_direct_route_is_singular(self):
         # at theta = 90 the anchors are orthogonal, so the overlap product
         # underflows; the analytic value is validated as the limit instead
         s1, s2, s3 = make_triplet(TripletParams(90, 0, 90))
-        assert abs(qutrit_inner(s2, s1)) < 1e-12
+        assert abs(inner(s2, s1)) < 1e-12
         with pytest.raises(UndefinedPhase):
-            three_vertex_phase_qutrit(s1, s2, s3)
-        lim = three_vertex_phase_qutrit(*make_triplet(TripletParams(90 - 1e-3, 0, 90)))
+            three_vertex_phase(s1, s2, s3)
+        lim = three_vertex_phase(*make_triplet(TripletParams(90 - 1e-3, 0, 90)))
         assert angdiff(analytic_total_phase(90, 0, 90), lim) < 1e-4
         assert analytic_total_phase(90, 0, 90) == pytest.approx(-math.pi, abs=1e-12)
 
