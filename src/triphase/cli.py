@@ -31,6 +31,7 @@ import numpy as np
 from . import figures, verify
 from .core import inner
 from .eraser import (
+    MIN_FRINGE_SPAN_RAD,
     ZeroVisibility,
     Unreachable,
     default_delta_grid,
@@ -41,6 +42,8 @@ from .triplet import GridTooCoarse, PhaseCurve, TripletParams, make_triplet, swe
 
 
 _MAX_COUNT = 10**6  # grid points of --phi and --delta-steps
+# the fewest samples of the default delta grid that span a fringe fit
+_MIN_DELTA_STEPS = next(n for n in range(3, _MAX_COUNT) if default_delta_grid(n)[-1] >= MIN_FRINGE_SPAN_RAD)
 # the curve falls by 4 pi per 360 degrees and every output step stays below
 # pi/2, so rows grow with the span; 1e5 periods keep them near the count cap
 _MAX_PHI_SPAN_DEG = 3.6e7
@@ -170,8 +173,10 @@ def cmd_fringe(args) -> int:
     except ValueError:
         raise ValidationError(f"phi: expected a single angle in degrees, got {args.phi!r}") from None
     phi = _check_angle("phi", phi, 0.0, 360.0, allow_lo=True)
-    if not 3 <= args.delta_steps <= _MAX_COUNT:
-        raise ValidationError(f"delta-steps: must lie in [3, {_MAX_COUNT}], got {args.delta_steps}")
+    if not _MIN_DELTA_STEPS <= args.delta_steps <= _MAX_COUNT:
+        raise ValidationError(
+            f"delta-steps: must lie in [{_MIN_DELTA_STEPS}, {_MAX_COUNT}], got {args.delta_steps}"
+        )
     if args.seed < 0:
         raise ValidationError(f"seed: must be non-negative, got {args.seed}")
     if args.noise_photons is not None and not 0.0 < args.noise_photons <= _MAX_NOISE_PHOTONS:

@@ -168,36 +168,34 @@ def symmetrize(p, q):
     return np.stack(np.broadcast_arrays(*parts), -1)
 
 
-def _qubit_from_root(w: complex) -> QubitState:
-    """Map a root of the characteristic quadratic to its constituent state."""
-    return QubitState.of(1.0, -w)
-
-
-def majorana_decompose(s: SymmetricState) -> tuple[QubitState, QubitState]:
+def majorana_decompose(s):
     """Unordered constituent pair {p, q} with symmetrize(p, q) == s up to phase.
 
     Roots of amp_hh*w^2 + sqrt(2)*amp_sym*w + amp_vv = 0 map to the pair via
-    w -> (|H> - w|V>)/norm; a degree drop (amp_hh -> 0) contributes the state
-    |V> (the root at infinity).  Degenerate states return a coincident pair.
+    w -> (|H> - w|V>)/norm, i.e. a root num/den to the state (den, -num); a
+    degree drop (amp_hh -> 0) contributes |V> (the root at infinity).
+    Degenerate states return a coincident pair.  A wrapper gives two
+    QubitStates, an array of shape (..., 3) two arrays of shape (..., 2).
     """
-    a = s.amp_hh
-    b = math.sqrt(2.0) * s.amp_sym
-    c = s.amp_vv
-    if abs(a) < 1e-14:
-        if abs(b) < 1e-14:
-            return QubitState(0.0, 1.0), QubitState(0.0, 1.0)
-        return _qubit_from_root(-c / b), QubitState(0.0, 1.0)
+    a, b, c = _parts(s)
+    b = math.sqrt(2.0) * b
     disc = b * b - 4.0 * a * c
-    sq = cmath.sqrt(disc)
-    if (b.conjugate() * sq).real < 0.0:
-        sq = -sq
+    sq = np.sqrt(disc + 0j)
+    sq = np.where((np.conj(b) * sq).real < 0.0, -sq, sq)
     t = -(b + sq) / 2.0
     # Near-degenerate discriminants lose the root splitting to rounding;
-    # the coincident pair is then the accurate reconstruction.
-    if t == 0.0 or abs(disc) < 1e-24 * max(abs(b * b), abs(4.0 * a * c), 1e-30):
-        w = -b / (2.0 * a)
-        return _qubit_from_root(w), _qubit_from_root(w)
-    return _qubit_from_root(t / a), _qubit_from_root(c / t)
+    # the coincident pair -b/(2a) is then the accurate reconstruction.
+    merged = (t == 0.0) | (abs(disc) < 1e-24 * np.maximum(np.maximum(abs(b * b), abs(4.0 * a * c)), 1e-30))
+    flat = abs(a) < 1e-14
+    # the states (den, -num) of the roots t/a and c/t, both -b/(2a) when merged;
+    # without the quadratic term, -c/b and the root at infinity, |V>
+    p = np.where(merged, 2.0 * a, a), np.where(merged, b, -t)
+    q = np.where(merged, 2.0 * a, t), np.where(merged, b, -c)
+    p = _unit((np.where(flat, b, p[0]), np.where(flat, c, p[1])))
+    q = _unit((np.where(flat, 0.0, q[0]), np.where(flat, 1.0, q[1])))
+    if isinstance(s, _Unit):
+        return QubitState(*p), QubitState(*q)
+    return np.stack(p, -1), np.stack(q, -1)
 
 
 def bloch_from_qubit(p):

@@ -26,6 +26,7 @@ from .core import QubitState, SymmetricState, inner, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_WAVELENGTH_M = 391e-9
+MIN_FRINGE_SPAN_RAD = 0.9 * TWO_PI  # the samples of a fit span at least this much
 
 _RETARDANCE = {"quarter": -1j, "half": -1.0 + 0j}
 
@@ -142,31 +143,31 @@ def projection_amplitude(arm_state: SymmetricState, projector_state: SymmetricSt
     return inner(projector_state, arm_state)
 
 
-def _linear_angle_deg(state: QubitState) -> float:
-    """Polarization angle of a linear state (real amplitudes up to a global phase)."""
-    v = state.vec
-    ref = v[int(np.argmax(np.abs(v)))]
+def _linear_angle_deg(state):
+    """Polarization angle of linear states (real amplitudes up to a global phase)."""
+    v = np.asarray(state)
+    ref = np.take_along_axis(v, np.argmax(np.abs(v), -1)[..., None], -1)
     u = v * np.exp(-1j * np.angle(ref))
     if float(np.max(np.abs(u.imag))) > 1e-9:
         raise ValueError("state is not a linear polarization")
-    return math.degrees(math.atan2(u[1].real, u[0].real))
+    return np.degrees(np.arctan2(u[..., 1].real, u[..., 0].real))
+
+
+def _analyzer_angles_deg(psi3, psi3_mirror):
+    """Fast-axis angles of the two analyzer half-wave plates; broadcasts."""
+    return _linear_angle_deg(psi3) / 2.0, (_linear_angle_deg(psi3_mirror) + 90.0) / 2.0
 
 
 def analyzer_hwp_settings(
     psi3: QubitState, psi3_mirror: QubitState
 ) -> tuple[WaveplateSetting, WaveplateSetting]:
-    """Half-wave plate angles of the analyzer chain.
+    """Half-wave plate settings of the analyzer chain.
 
     The first plate rotates psi3 onto H (transmitted PBS port), the second
     rotates psi3_mirror onto V (reflected port).  Only defined for linear
     polarizations, which is what the standard-triplet family produces.
     """
-    lam3 = _linear_angle_deg(psi3)
-    lam3m = _linear_angle_deg(psi3_mirror)
-    return (
-        WaveplateSetting("half", lam3 / 2.0),
-        WaveplateSetting("half", (lam3m + 90.0) / 2.0),
-    )
+    return tuple(WaveplateSetting("half", a) for a in _analyzer_angles_deg(psi3, psi3_mirror))
 
 
 # columns: |HH>, (|HV>+|VH>)/sqrt(2), |VV> in the product basis (|HH>, |HV>, |VH>, |VV>)
@@ -174,32 +175,33 @@ _SYM_BASIS = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]) / np.array([
 _SYM_HV = _SYM_BASIS[:, 1]
 
 
-def projection_chain_amplitude(
-    arm_state: SymmetricState, psi3: QubitState, psi3_mirror: QubitState
-) -> complex:
+def projection_chain_amplitude(arm_state, psi3, psi3_mirror):
     """Amplitude through the composed analyzer chain, normalized to a unit bra.
 
-    Each photon passes the half-wave plates and the polarizing splitter; the
-    transmitted H port carries the psi3 component and the reflected V port the
-    psi3_mirror component; the up-conversion crystal then projects onto the
-    symmetric HV state.  Equals the direct projection onto
-    symmetrize(psi3, psi3_mirror) up to one arm-independent global phase.
+    Each photon passes the half-wave plates of analyzer_hwp_settings and the
+    polarizing splitter; the transmitted H port carries the psi3 component
+    and the reflected V port the psi3_mirror component; the up-conversion
+    crystal then projects onto the symmetric HV state.  Equals the direct
+    projection onto symmetrize(psi3, psi3_mirror) up to one arm-independent
+    global phase.  States are wrappers or arrays that broadcast over their
+    leading axes; a batch gives an array.
     """
-    hwp_h, hwp_v = analyzer_hwp_settings(psi3, psi3_mirror)
-    single = np.vstack(
-        [
-            waveplate_matrix(hwp_h)[0, :],  # H output port
-            waveplate_matrix(hwp_v)[1, :],  # V output port
-        ]
-    )
-    pair = np.kron(single, single)
-    bra = pair.conj().T @ _SYM_HV
-    return complex(np.vdot(_SYM_HV, pair @ _SYM_BASIS @ np.asarray(arm_state)) / np.linalg.norm(bra))
+    hwp_h, hwp_v = np.radians(_analyzer_angles_deg(psi3, psi3_mirror))
+    half = _RETARDANCE["half"]
+    single = np.stack([_jones(half, hwp_h)[..., 0, :], _jones(half, hwp_v)[..., 1, :]], -2)  # H, V ports
+    pair = np.einsum("...ij,...kl->...ikjl", single, single).reshape(single.shape[:-2] + (4, 4))
+    row = _SYM_HV @ pair  # real _SYM_HV: the chain's bra is conj(row), of the same norm
+    out = np.sum(row @ _SYM_BASIS * np.asarray(arm_state), -1) / np.linalg.norm(row, axis=-1)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
 class FringeTrace:
-    """Sampled interference intensity versus the relative path phase delta."""
+    """Sampled interference intensity versus the relative path phase delta.
+
+    ``intensity`` has shape (..., N) over the N samples of a 1-d ``delta_rad``;
+    leading axes hold a batch of traces on the same grid.
+    """
 
     delta_rad: np.ndarray
     intensity: np.ndarray
@@ -208,12 +210,13 @@ class FringeTrace:
     def __post_init__(self):
         delta = np.asarray(self.delta_rad, dtype=float)
         inten = np.asarray(self.intensity, dtype=float)
-        if delta.shape != inten.shape or delta.ndim != 1:
-            raise ValueError("delta and intensity must be 1-d arrays of equal length")
-        if np.any(np.diff(delta) <= 0.0):
-            raise ValueError("delta samples must be strictly increasing")
-        if np.any(inten < 0.0):
-            raise ValueError("intensity must be non-negative")
+        if delta.ndim != 1 or inten.shape[-1:] != delta.shape:
+            raise ValueError("delta_rad must be 1-d and intensity of shape (..., len(delta_rad))")
+        # NaN fails every comparison; an infinite end leaves the span non-finite
+        if delta.size and not ((delta[1:] > delta[:-1]).all() and math.isfinite(delta[-1] - delta[0])):
+            raise ValueError("delta_rad must be finite and strictly increasing")
+        if inten.size and not (inten.min() >= 0.0 and inten.max() < math.inf):
+            raise ValueError("intensity must be finite and non-negative")
         object.__setattr__(self, "delta_rad", delta)
         object.__setattr__(self, "intensity", inten)
 
@@ -223,9 +226,9 @@ def default_delta_grid(n: int = 100) -> np.ndarray:
 
 
 def fringe_trace(
-    arm_a: SymmetricState,
-    arm_b: SymmetricState,
-    projector: SymmetricState,
+    arm_a,
+    arm_b,
+    projector,
     delta_rad,
     *,
     noise_mean_photons: float | None = None,
@@ -236,27 +239,31 @@ def fringe_trace(
 
     Ideal intensity P(delta) = |k * <proj|arm_a> * e^(i delta) + <proj|arm_b>|^2
     with balanced arms (k = arm_ratio = 1) by default; an arm amplitude
-    imbalance changes the visibility but provably not the fringe phase.  With
-    Poisson noise each sample is an independent draw whose mean is the ideal
-    value scaled so the ideal maximum equals ``noise_mean_photons``; the rng
-    (seed or numpy Generator) must then be supplied explicitly.
+    imbalance changes the visibility but provably not the fringe phase.  The
+    states are wrappers or arrays of shape (..., 3) that broadcast, and the
+    intensity has shape (..., N) for N delta samples.  With Poisson noise each
+    sample is an independent draw whose mean is the ideal value scaled so the
+    ideal maximum equals ``noise_mean_photons``; the rng (seed or numpy
+    Generator) must then be supplied explicitly.  A batch is one draw in C
+    order, the draws of a loop over its elements with the same generator.
     """
     if arm_ratio <= 0.0:
         raise ValueError("arm_ratio must be positive")
     delta = np.asarray(delta_rad, dtype=float)
     r = arm_ratio * projection_amplitude(arm_a, projector)
     q = projection_amplitude(arm_b, projector)
-    ideal = np.abs(r * np.exp(1j * delta) + q) ** 2
+    ideal = np.abs(np.asarray(r)[..., None] * np.exp(1j * delta) + np.asarray(q)[..., None]) ** 2
     if noise_mean_photons is None:
         return FringeTrace(delta, ideal, None)
     if noise_mean_photons <= 0.0:
         raise ValueError("noise_mean_photons must be positive")
     if rng is None:
         raise ValueError("Poisson noise requires an explicit rng seed or Generator")
-    rng = np.random.default_rng(rng)
     peak = (abs(r) + abs(q)) ** 2
-    lam = noise_mean_photons * ideal / peak if peak > 0.0 else np.zeros_like(ideal)
-    return FringeTrace(delta, rng.poisson(lam).astype(float), float(noise_mean_photons))
+    # a zero peak has an all-zero ideal trace, which is divided by 1 instead
+    lam = noise_mean_photons * ideal / np.asarray(peak + (peak == 0.0))[..., None]
+    counts = np.random.default_rng(rng).poisson(lam)
+    return FringeTrace(delta, counts.astype(float), float(noise_mean_photons))
 
 
 class FringeFit(NamedTuple):
@@ -265,56 +272,56 @@ class FringeFit(NamedTuple):
 
 
 def extract_fringe_phase(trace: FringeTrace, *, min_visibility: float = 1e-3) -> FringeFit:
-    """Least-squares fit of I = A + B cos(delta) + C sin(delta).
+    """Least-squares fit of I = A + B cos(delta) + C sin(delta), for one trace
+    (floats) or a batch (arrays): one solve of the normal equations, whose
+    matrix is the Gram matrix of the basis (1, cos delta, sin delta).
 
     The phase atan2(C, B) locates the fringe maximum, so a trace synthesized
     as A (1 + v cos(delta - p)) returns p, and phase differences between
     projector settings equal geometric-phase differences.  Raises
-    ZeroVisibility below ``min_visibility``.
+    ZeroVisibility if any trace falls below ``min_visibility``.
     """
     delta, inten = trace.delta_rad, trace.intensity
     if delta.size < 3:
         raise ValueError("need at least 3 samples")
-    if float(delta[-1] - delta[0]) < 0.9 * TWO_PI:
+    if float(delta[-1] - delta[0]) < MIN_FRINGE_SPAN_RAD:
         raise ValueError("samples must span at least one fringe period")
-    design = np.column_stack([np.ones_like(delta), np.cos(delta), np.sin(delta)])
-    (a, b, c), *_ = np.linalg.lstsq(design, inten, rcond=None)
-    amp = math.hypot(b, c)
-    if a <= 0.0 or amp / a < min_visibility:
-        raise ZeroVisibility(
-            f"fitted visibility {0.0 if a <= 0 else amp / a:.3e} below {min_visibility:.0e}"
-        )
-    return FringeFit(wrap_angle(math.atan2(c, b)), amp / a)
+    basis = np.array([np.ones_like(delta), np.cos(delta), np.sin(delta)])
+    gram = basis @ basis.T
+    # det(gram) / n^3 lies in [0, 8/27] (1/4 for an even grid), near 0 when the
+    # samples sit at (nearly) two phases only and leave the fit undetermined
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram.tolist()
+    det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02) + g02 * (g01 * g12 - g11 * g02)
+    if not det > 1e-9 * delta.size**3:
+        raise ValueError("delta_rad samples are too clustered to determine the fringe")
+    rhs = (inten @ basis.T).reshape(-1, 3).T
+    a, b, c = np.linalg.solve(gram, rhs).reshape((3,) + inten.shape[:-1])
+    visibility = np.hypot(b, c) / np.where(a > 0.0, a, np.inf)  # 0 where A <= 0
+    if (visibility < min_visibility).any():
+        raise ZeroVisibility(f"fitted visibility {visibility.min():.3e} below {min_visibility:.0e}")
+    return FringeFit(wrap_angle(np.arctan2(c, b)), visibility if inten.ndim > 1 else float(visibility))
 
 
 def phase_variation(
-    arm_a: SymmetricState,
-    arm_b: SymmetricState,
-    projector_1: SymmetricState,
-    projector_2: SymmetricState,
-    delta_rad=None,
-    *,
-    noise_mean_photons: float | None = None,
-    rng=None,
-) -> float:
+    arm_a, arm_b, projector_1, projector_2, delta_rad=None, *, noise_mean_photons=None, rng=None
+):
     """Fringe-phase shift between two projector settings, wrapped to (-pi, pi].
 
-    Noiseless, this equals the difference of the two three-vertex geometric
-    phases (the arm-overlap term is common to both fringes and cancels).
+    States are wrappers or arrays of shape (..., 3) that broadcast; a batch
+    gives an array.  Both fringes come from one fringe_trace over a stacked
+    projector axis, so with noise each element draws its first fringe, then
+    its second.  Noiseless, the shift equals the difference of the two
+    three-vertex geometric phases (the arm-overlap term is common to both
+    fringes and cancels).
     """
     if delta_rad is None:
         delta_rad = default_delta_grid()
-    if noise_mean_photons is not None:
-        if rng is None:
-            raise ValueError("Poisson noise requires an explicit rng seed or Generator")
-        rng = np.random.default_rng(rng)
-    fit_1 = extract_fringe_phase(
-        fringe_trace(arm_a, arm_b, projector_1, delta_rad, noise_mean_photons=noise_mean_photons, rng=rng)
-    )
-    fit_2 = extract_fringe_phase(
-        fringe_trace(arm_a, arm_b, projector_2, delta_rad, noise_mean_photons=noise_mean_photons, rng=rng)
-    )
-    return wrap_angle(fit_2.phase_rad - fit_1.phase_rad)
+    projectors = np.stack(np.broadcast_arrays(projector_1, projector_2), -2)
+    fit = extract_fringe_phase(fringe_trace(
+        np.expand_dims(arm_a, -2), np.expand_dims(arm_b, -2), projectors, delta_rad,
+        noise_mean_photons=noise_mean_photons, rng=rng,
+    ))
+    return wrap_angle(fit.phase_rad[..., 1] - fit.phase_rad[..., 0])
 
 
 def delta_from_path_difference(path_m, wavelength_m: float = DEFAULT_WAVELENGTH_M):

@@ -294,30 +294,37 @@ class OffsetFit(NamedTuple):
 def fit_offset(measured, theory: PhaseCurve) -> OffsetFit:
     """Constant offset minimizing the wrapped squared residuals.
 
-    ``measured`` is a sequence of (phi_deg, gamma_rad) pairs; the theory curve
-    is linearly interpolated at the measured phi.  The circular objective
-    sum(wrap(measured - theory - c)^2) is minimized exactly (the intrinsic
-    mean on the circle): near any c it is the quadratic cost of the sorted
-    wrapped residuals with the j smallest lifted by 2 pi, least at their
-    mean, so the best of those n means is the global minimum.  The offset is
-    reported in (-pi, pi] together with the residual RMS.
+    ``measured`` holds (phi_deg, gamma_rad) pairs, shape (n, 2), or a batch of
+    such sets, shape (..., n, 2), which gives arrays; points outside the theory
+    curve's phi range are left out, and the curve is linearly interpolated at
+    the others.  The circular objective sum(wrap(measured - theory - c)^2) is
+    minimized exactly (the intrinsic mean on the circle): near any c it is the
+    quadratic cost of the sorted wrapped residuals with the j smallest lifted
+    by 2 pi, least at their mean, so the best of those means is the global
+    minimum.  The offset is reported in (-pi, pi] together with the residual
+    RMS.  Raises InsufficientData if any set has fewer than 2 points inside.
     """
     arr = np.asarray(measured, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError("measured must be a sequence of (phi_deg, gamma_rad) pairs")
-    inside = (arr[:, 0] >= theory.phi_deg[0]) & (arr[:, 0] <= theory.phi_deg[-1])
-    if int(inside.sum()) < 2:
-        raise InsufficientData(
-            f"need at least 2 measured points inside the theory range, got {int(inside.sum())}"
-        )
-    phi_m = arr[inside, 0]
-    gam_m = arr[inside, 1]
-    resid = gam_m - np.interp(phi_m, theory.phi_deg, theory.gamma_rad)
+    phi, gam = arr[..., 0], arr[..., 1]
+    inside = (phi >= theory.phi_deg[0]) & (phi <= theory.phi_deg[-1])
+    count = inside.sum(-1)
+    smallest = int(np.min(count, initial=2))
+    if smallest < 2:
+        raise InsufficientData(f"need at least 2 measured points inside the theory range, got {smallest}")
+    resid = np.where(inside, gam - np.interp(phi, theory.phi_deg, theory.gamma_rad), 0.0)
 
-    x = np.sort(np.asarray(wrap_angle(resid)))
-    lifted = np.arange(x.size)
-    sums = x.sum() + TWO_PI * lifted
-    squares = np.sum(x * x) + 2.0 * TWO_PI * np.concatenate([[0.0], np.cumsum(x[:-1])]) + TWO_PI**2 * lifted
-    c_best = float(sums[int(np.argmin(squares - sums * sums / x.size))] / x.size)
-    cost = float(np.sum(np.asarray(wrap_angle(resid - c_best)) ** 2))
-    return OffsetFit(wrap_angle(c_best), math.sqrt(cost / resid.size))
+    # points outside sort last, as +inf, and then count as zeros
+    x = np.sort(np.where(inside, wrap_angle(resid), np.inf), axis=-1)
+    lifted = np.arange(x.shape[-1])
+    n = count[..., None]
+    x = np.where(lifted < n, x, 0.0)
+    prefix = np.zeros_like(x)
+    np.cumsum(x[..., :-1], axis=-1, out=prefix[..., 1:])
+    sums = x.sum(-1, keepdims=True) + TWO_PI * lifted
+    squares = np.sum(x * x, -1, keepdims=True) + 2.0 * TWO_PI * prefix + TWO_PI**2 * lifted
+    cost = np.where(lifted < n, squares - sums * sums / n, np.inf)
+    c_best = np.take_along_axis(sums, np.argmin(cost, -1)[..., None], -1) / n
+    rms = np.sqrt(np.sum(np.where(inside, wrap_angle(resid - c_best) ** 2, 0.0), -1) / count)
+    return OffsetFit(wrap_angle(c_best[..., 0]), rms if arr.ndim > 2 else float(rms))

@@ -9,7 +9,15 @@ import pytest
 
 from triphase import verify
 from triphase.core import inner, random_symmetric
-from triphase.triplet import analytic_qubit_phase, analytic_total_phase
+from triphase.eraser import default_delta_grid, fringe_trace
+from triphase.triplet import (
+    TripletParams,
+    analytic_qubit_phase,
+    analytic_total_phase,
+    fit_offset,
+    make_triplet,
+    sweep_phi,
+)
 
 
 # Sample counts each detail must keep: the seeds, draw order (rejection
@@ -35,8 +43,8 @@ def test_criterion(spec):
 
 
 def test_batched_draws_match_per_draw_loops():
-    # the rejection loops of criteria 4, 6 and 7 draw in batches; the loop
-    # that redraws each rejected candidate is the reference
+    # the rejection loops of criteria 4, 6 and 7 and the trials of criteria 8
+    # and 9 draw in batches; the loops that draw one at a time are the reference
     def loop(draw, passes, n):
         kept, rejected = [], 0
         while len(kept) < n:
@@ -77,6 +85,31 @@ def test_batched_draws_match_per_draw_loops():
     )
     assert rejected == want_rejected > 0
     assert np.array_equal(got, want)
+
+    # criterion 8 draws its 1000 noisy traces at once
+    s1, s2, s3 = make_triplet(TripletParams(10.0, 120.0, 30.0))
+    delta = default_delta_grid(100)
+    rng = np.random.default_rng(987654321)
+    want = [fringe_trace(s1, s2, s3, delta, noise_mean_photons=1e5, rng=rng).intensity for _ in range(1000)]
+    trials = np.broadcast_to(np.asarray(s3), (1000, 3))
+    got = fringe_trace(s1, s2, trials, delta, noise_mean_photons=1e5, rng=987654321).intensity
+    assert np.array_equal(got, want)
+
+    # criterion 9 draws trial by trial and fits the offsets at once
+    theory = sweep_phi(10.0, 120.0, np.linspace(0.0, 360.0, 721))
+    rng = np.random.default_rng(55555)
+    want = []
+    for _ in range(500):
+        phis = rng.uniform(0.0, 360.0, size=50)
+        gammas = np.interp(phis, theory.phi_deg, theory.gamma_rad) + 0.3 + rng.normal(0.0, 0.05, size=50)
+        want.append(fit_offset(np.column_stack([phis, gammas]), theory).offset_rad)
+    rng = np.random.default_rng(55555)
+    phis, noise = np.empty((2, 500, 50))
+    for k in range(500):
+        phis[k] = rng.uniform(0.0, 360.0, size=50)
+        noise[k] = rng.normal(0.0, 0.05, size=50)
+    gammas = np.interp(phis, theory.phi_deg, theory.gamma_rad) + 0.3 + noise
+    assert np.array_equal(fit_offset(np.stack([phis, gammas], -1), theory).offset_rad, want)
 
 
 def test_sign_flip_mutation_is_caught():

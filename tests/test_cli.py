@@ -143,6 +143,8 @@ class TestFringe:
     def test_validation_errors(self, tmp_path, monkeypatch, capsys):
         cases = [
             (["--delta-steps", "2"], "delta-steps"),
+            (["--delta-steps", "3"], "delta-steps"),  # spans less than the fit needs
+            (["--delta-steps", "9"], "delta-steps"),
             (["--delta-steps", "1000001"], "delta-steps"),  # rejected before any allocation
             (["--noise-photons", "100", "--seed", "-1"], "seed"),
             (["--noise-photons", "-1"], "noise-photons"),
@@ -161,6 +163,13 @@ class TestFringe:
     def test_largest_noise_photons_accepted(self, tmp_path, monkeypatch, capsys):
         code, _, err = run(
             ["fringe", "--theta", "10", "--chi", "120", "--noise-photons", "1e15", "--out", "f.csv"],
+            tmp_path, monkeypatch, capsys,
+        )
+        assert code == 0, err
+
+    def test_fewest_delta_steps_accepted(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run(
+            ["fringe", "--theta", "10", "--chi", "120", "--delta-steps", "10", "--out", "f.csv"],
             tmp_path, monkeypatch, capsys,
         )
         assert code == 0, err

@@ -162,6 +162,19 @@ class TestBatched:
                 np.stack([va[0], [0, 0, 1.0]]), np.stack([vb[0], [0, 0, -1.0]]), vc[:2]
             )
 
+    def test_majorana_batch_matches_single_states(self):
+        rng = np.random.default_rng(20)
+        states = [random_symmetric(rng) for _ in range(30)]
+        # degree drops, coincident pairs and |VV>, which take the other branches
+        states += [SymmetricState.of(0, 0.6, 0.8), symmetrize(D, D)]
+        states += [SymmetricState(1, 0, 0), SymmetricState(0, 0, 1)]
+        p, q = majorana_decompose(np.reshape(states, (2, 17, 3)))
+        assert p.shape == q.shape == (2, 17, 2)
+        for k, s in enumerate(states):
+            one = majorana_decompose(s)
+            for got, want in zip((p.reshape(-1, 2)[k], q.reshape(-1, 2)[k]), one):
+                assert np.allclose(got, want.vec, rtol=0, atol=1e-15)
+
 
 class TestSymmetrize:
     def test_coincident_pair(self):

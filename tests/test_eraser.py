@@ -255,6 +255,19 @@ class TestFringe:
         with pytest.raises(ValueError):
             FringeTrace(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
+    def test_trace_rejects_non_finite_samples(self):
+        delta = default_delta_grid(20)
+        for bad in (np.nan, np.inf, -np.inf):
+            inten = np.ones(20)
+            inten[3] = bad
+            with pytest.raises(ValueError, match="intensity"):
+                FringeTrace(delta, inten)
+            for k in (0, 7, 19):
+                d = delta.copy()
+                d[k] = bad
+                with pytest.raises(ValueError, match="delta_rad"):
+                    FringeTrace(d, np.ones(20))
+
     def test_noise_requires_rng(self):
         s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
         with pytest.raises(ValueError):
@@ -330,6 +343,90 @@ class TestExtractFringePhase:
             assert fit.visibility <= 1.0 + 3.0 * sigma_vis
         errors = np.array(errors)
         assert np.mean(errors < 5e-3) >= 0.99
+
+
+class TestBatchedFringes:
+    """Batch axes of the fringe functions against calls on single elements."""
+
+    @staticmethod
+    def _states(shape):
+        rng = np.random.default_rng(60)
+        z = rng.normal(size=(4, *shape, 3)) + 1j * rng.normal(size=(4, *shape, 3))
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3)])
+    def test_batch_matches_single_elements(self, shape):
+        arm_a, arm_b, p1, p2 = self._states(shape)
+        delta = default_delta_grid(64)
+        trace = fringe_trace(arm_a, arm_b, p1, delta, arm_ratio=1.5)
+        fit = extract_fringe_phase(trace)
+        shift = phase_variation(arm_a, arm_b, p1, p2, delta)
+        assert trace.intensity.shape == (*shape, 64)
+        assert fit.phase_rad.shape == fit.visibility.shape == shift.shape == shape
+        for index in np.ndindex(*shape):
+            states = [SymmetricState(*v[index]) for v in (arm_a, arm_b, p1, p2)]
+            one = fringe_trace(*states[:3], delta, arm_ratio=1.5)
+            assert np.allclose(trace.intensity[index], one.intensity, rtol=0, atol=1e-12)
+            one_fit = extract_fringe_phase(one)
+            assert isinstance(one_fit.phase_rad, float) and isinstance(one_fit.visibility, float)
+            assert angdiff(fit.phase_rad[index], one_fit.phase_rad) <= 1e-12
+            assert abs(fit.visibility[index] - one_fit.visibility) <= 1e-12
+            assert angdiff(shift[index], phase_variation(*states, delta)) <= 1e-12
+
+    def test_noisy_batch_draws_like_a_loop(self):
+        arm_a, arm_b, p1, p2 = self._states((2, 3))
+        delta = default_delta_grid(50)
+        batch = fringe_trace(arm_a, arm_b, p1, delta, noise_mean_photons=1e4, rng=5)
+        rng = np.random.default_rng(5)
+        for index in np.ndindex(2, 3):
+            one = fringe_trace(arm_a[index], arm_b[index], p1[index], delta, noise_mean_photons=1e4, rng=rng)
+            assert np.array_equal(batch.intensity[index], one.intensity)
+        # phase_variation draws an element's first fringe, then its second
+        rng = np.random.default_rng(6)
+        loop = [
+            phase_variation(arm_a[i], arm_b[i], p1[i], p2[i], noise_mean_photons=1e4, rng=rng)
+            for i in np.ndindex(2, 3)
+        ]
+        batch = phase_variation(arm_a, arm_b, p1, p2, noise_mean_photons=1e4, rng=6)
+        assert np.array_equal(batch.ravel(), loop)
+
+    def test_one_flat_element_raises(self):
+        delta = default_delta_grid(100)
+        inten = 1.0 + np.array([[0.5], [0.0], [0.3]]) * np.cos(delta)
+        with pytest.raises(ZeroVisibility) as info:
+            extract_fringe_phase(FringeTrace(delta, inten))
+        # the message reports the smallest visibility of the batch
+        assert float(re.search(r"visibility (\S+) below", str(info.value)).group(1)) < 1e-12
+
+    def test_non_uniform_grid_recovers_phase(self):
+        rng = np.random.default_rng(61)
+        delta = np.concatenate([[0.0], np.sort(rng.uniform(0.2, 5.8, 25)), [TWO_PI - 0.1]])
+        fit = extract_fringe_phase(FringeTrace(delta, 2.0 * (1.0 + 0.6 * np.cos(delta - 1.1))))
+        assert fit.phase_rad == pytest.approx(1.1, abs=1e-9)
+        assert fit.visibility == pytest.approx(0.6, abs=1e-9)
+
+    def test_clustered_grid_rejected(self):
+        # samples at two phases only cannot determine three coefficients
+        for delta in ([0.0, math.pi, TWO_PI], [0.0, 1e-9, 2e-9, 5.9, 5.9 + 1e-9]):
+            delta = np.array(delta)
+            with pytest.raises(ValueError, match="clustered"):
+                extract_fringe_phase(FringeTrace(delta, 1.0 + np.cos(delta)))
+
+    def test_projection_chain_batch_matches_single_settings(self):
+        angles = np.random.default_rng(62).uniform((2.0, 0.0, 0.0), (88.0, 360.0, 360.0), size=(12, 3))
+        params = TripletParams(*angles.T)
+        arm1, arm2, _ = make_triplet(params)
+        _, _, psi3, psi3m = make_states(params)
+        arms = np.stack([arm1, arm2])
+        chain = projection_chain_amplitude(arms, psi3, psi3m)
+        assert chain.shape == (2, 12)
+        for k, single in enumerate(angles):
+            _, _, p3, p3m = make_states(TripletParams(*map(float, single)))
+            for a in range(2):
+                assert abs(chain[a, k] - projection_chain_amplitude(SymmetricState(*arms[a, k]), p3, p3m)) <= 1e-12
+        # one elliptical element fails the whole batch
+        with pytest.raises(ValueError, match="linear"):
+            projection_chain_amplitude(arms, np.concatenate([psi3[:-1], R.vec[None]]), psi3m)
 
 
 class TestPhaseVariation:

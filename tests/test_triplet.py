@@ -387,6 +387,31 @@ class TestFitOffset:
             fit_offset(np.array([[400.0, 0.0], [500.0, 1.0]]), theory)
         with pytest.raises(InsufficientData):
             fit_offset(np.array([[100.0, 0.0], [400.0, 1.0]]), theory)
+        # a batch raises if any set has too few points inside
+        batch = np.array([[[100.0, 0.0], [200.0, 1.0]], [[100.0, 0.0], [400.0, 1.0]]])
+        with pytest.raises(InsufficientData, match="got 1"):
+            fit_offset(batch, theory)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
+    def test_batch_matches_single_sets(self, shape):
+        # a theory range of 0..300 leaves some measured points outside
+        theory = sweep_phi(10, 120, np.linspace(0, 300, 601))
+        rng = np.random.default_rng(19)
+        phis = rng.uniform(-40.0, 360.0, size=(*shape, 30))
+        gammas = (
+            np.interp(phis, theory.phi_deg, theory.gamma_rad)
+            + rng.uniform(-math.pi, math.pi, size=(*shape, 1))
+            + rng.normal(0.0, rng.uniform(0.01, 2.0, size=(*shape, 1)), size=(*shape, 30))
+        )
+        measured = np.stack([phis, gammas], -1)
+        fit = fit_offset(measured, theory)
+        assert fit.offset_rad.shape == fit.rms_rad.shape == shape
+        for index in np.ndindex(*shape):
+            one = fit_offset(measured[index], theory)
+            assert isinstance(one.offset_rad, float) and isinstance(one.rms_rad, float)
+            assert abs(fit.offset_rad[index] - one.offset_rad) <= 1e-12
+            assert abs(fit.rms_rad[index] - one.rms_rad) <= 1e-12
+        assert np.any((phis < 0.0) | (phis > 300.0))
 
 
 def test_import_does_not_load_scipy_signal():
