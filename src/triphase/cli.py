@@ -31,6 +31,7 @@ import numpy as np
 from . import figures, verify
 from .core import inner
 from .eraser import (
+    MAX_NOISE_PHOTONS,
     MIN_FRINGE_SPAN_RAD,
     ZeroVisibility,
     Unreachable,
@@ -47,7 +48,6 @@ _MIN_DELTA_STEPS = next(n for n in range(3, _MAX_COUNT) if default_delta_grid(n)
 # the curve falls by 4 pi per 360 degrees and every output step stays below
 # pi/2, so rows grow with the span; 1e5 periods keep them near the count cap
 _MAX_PHI_SPAN_DEG = 3.6e7
-_MAX_NOISE_PHOTONS = 1e15
 
 
 class ValidationError(ValueError):
@@ -179,9 +179,9 @@ def cmd_fringe(args) -> int:
         )
     if args.seed < 0:
         raise ValidationError(f"seed: must be non-negative, got {args.seed}")
-    if args.noise_photons is not None and not 0.0 < args.noise_photons <= _MAX_NOISE_PHOTONS:
+    if args.noise_photons is not None and not 0.0 < args.noise_photons <= MAX_NOISE_PHOTONS:
         raise ValidationError(
-            f"noise-photons: must lie in (0, {_MAX_NOISE_PHOTONS:g}], got {args.noise_photons}"
+            f"noise-photons: must lie in (0, {MAX_NOISE_PHOTONS:g}], got {args.noise_photons}"
         )
 
     s1, s2, s3 = make_triplet(TripletParams(theta, chi, phi))

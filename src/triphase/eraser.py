@@ -22,11 +22,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import QubitState, SymmetricState, inner, wrap_angle
+from .core import QubitState, SymmetricState, bloch_from_qubit, inner, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_WAVELENGTH_M = 391e-9
 MIN_FRINGE_SPAN_RAD = 0.9 * TWO_PI  # the samples of a fit span at least this much
+MAX_NOISE_PHOTONS = 1e15  # mean photons at the fringe maximum, well inside Poisson sampling
 
 _RETARDANCE = {"quarter": -1j, "half": -1.0 + 0j}
 
@@ -52,15 +53,12 @@ class WaveplateSetting:
         object.__setattr__(self, "angle_deg", float(self.angle_deg) % 180.0)
 
 
-def _reflection(two_a):
-    """cos(2a) sigma_z + sin(2a) sigma_x, stacked over the shape of ``two_a``."""
-    c, s = np.cos(two_a), np.sin(two_a)
-    return np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2)
-
-
 def _jones(retardance: complex, angle_rad):
-    """R(a) diag(1, r) R(-a) = (1 + r)/2 I + (1 - r)/2 (cos 2a sigma_z + sin 2a sigma_x)."""
-    return 0.5 * (1.0 + retardance) * np.eye(2) + 0.5 * (1.0 - retardance) * _reflection(2.0 * angle_rad)
+    """R(a) diag(1, r) R(-a) = (1 + r)/2 I + (1 - r)/2 (cos 2a sigma_z + sin 2a sigma_x),
+    stacked over the shape of ``angle_rad``."""
+    c, s = np.cos(2.0 * angle_rad), np.sin(2.0 * angle_rad)
+    p, m = 0.5 * (1.0 + retardance), 0.5 * (1.0 - retardance)
+    return np.stack([np.stack([p + m * c, m * s], -1), np.stack([m * s, p - m * c], -1)], -2)
 
 
 def waveplate_matrix(setting: WaveplateSetting) -> np.ndarray:
@@ -73,69 +71,67 @@ class WaveplateSolution(NamedTuple):
     infidelity: float
 
 
-_COARSE_STEP_DEG = 15.0
-_REFINE_STARTS = 8
-_GAUSS_NEWTON_STEPS = 12
 _INFIDELITY_TOL = 1e-6
+_SOLVABLE_CHAINS = (("half",), ("quarter",), ("quarter", "half"), ("half", "quarter"), ("half", "half"))
+_DFT5 = np.exp(-0.4j * math.pi * np.outer(np.arange(-2, 3), np.arange(5))) / 5.0  # harmonics -2..2
 
 
-def _leak(retardances, angles, start_vec, perp):
-    """<perp|W_n ... W_1|start> and its gradient, for angles (radians) of shape (..., n).
-
-    Each plate's derivative is dW/da = (1 - r) (cos 2a' sigma_z + sin 2a' sigma_x), a' = a + pi/4.
-    """
-    states = [np.broadcast_to(start_vec, angles.shape[:-1] + (2,))]
-    for k, r in enumerate(retardances[:-1]):
-        states.append(np.einsum("...ij,...j->...i", _jones(r, angles[..., k]), states[-1]))
-    row = np.broadcast_to(perp.conj(), states[0].shape)
-    grad = np.empty(angles.shape, dtype=complex)
-    for k in reversed(range(len(retardances))):
-        r, a = retardances[k], angles[..., k]
-        d_plate = (1.0 - r) * _reflection(2.0 * a + 0.5 * math.pi)
-        grad[..., k] = np.einsum("...i,...ij,...j->...", row, d_plate, states[k])
-        row = np.einsum("...i,...ij->...j", row, _jones(r, a))
-    return row @ start_vec, grad
+def _stationary_angles(f):
+    """Plate angles a (rad) at the stationary points of f, a trigonometric
+    polynomial of degree 2 in x = 2a: with z = e^(ix), z^2 f'(x) / i is the
+    quartic sum_k k F_k z^(k+2) in the harmonics F_k of five samples."""
+    harmonics = _DFT5 @ f(0.2 * math.pi * np.arange(5))
+    return np.angle(np.roots(harmonics[::-1] * np.arange(2, -3, -1))) / 2.0
 
 
 def solve_waveplates(target: QubitState, kinds: Sequence[str], start: QubitState) -> WaveplateSolution:
-    """Fast-axis angles sending ``start`` to ``target`` through the chain.
+    """Fast-axis angles sending ``start`` to ``target`` through one plate, or
+    two plates of which one is half-wave.
 
-    Minimizes the infidelity 1 - |<target|chain|start>|^2, the squared leak
-    into the target's orthogonal complement: the leak is evaluated on a
-    coarse angle grid at once, and the best starts take Gauss-Newton steps
-    together (pseudo-inverse steps also cover the underdetermined chains of
-    three or more plates).  Raises Unreachable when the best infidelity stays
-    above 1e-6 (e.g. a single half-wave plate cannot make circular light
-    from linear light).
+    The infidelity 1 - |<target|chain|start>|^2, the squared leak into the
+    target's orthogonal complement, is least at one of a few candidate angles
+    in closed form.  Raises Unreachable when it exceeds 1e-6 (e.g. a single
+    half-wave plate cannot make circular light from linear light), and
+    ValueError for other chains.
     """
     kinds = list(kinds)
-    if not kinds:
-        raise ValueError("the waveplate chain must be non-empty")
-    for k in kinds:
-        if k not in _RETARDANCE:
-            raise ValueError(f"unknown waveplate kind {k!r}")
-
+    if tuple(kinds) not in _SOLVABLE_CHAINS:
+        raise ValueError(f"chain {kinds} is not supported: use one plate, or two with a half-wave plate")
     retardances = [_RETARDANCE[k] for k in kinds]
-    perp = np.array([-target.amp_v.conjugate(), target.amp_h.conjugate()], dtype=complex)
-    coarse = np.radians(np.arange(0.0, 180.0, _COARSE_STEP_DEG))
-    grid = np.stack(np.meshgrid(*[coarse] * len(kinds), indexing="ij"), -1).reshape(-1, len(kinds))
-    leak, _ = _leak(retardances, grid, start.vec, perp)
-    angles = grid[np.argsort(np.abs(leak), kind="stable")[:_REFINE_STARTS]]
-    lowest = float(np.min(np.abs(leak))) ** 2  # over every point evaluated, for the message
 
-    for _ in range(_GAUSS_NEWTON_STEPS):
-        leak, grad = _leak(retardances, angles, start.vec, perp)
-        lowest = min(lowest, float(np.min(np.abs(leak))) ** 2)
-        jac = np.stack([grad.real, grad.imag], -2)
-        residual = np.stack([leak.real, leak.imag], -1)
-        angles = (angles - np.einsum("...ij,...j->...i", np.linalg.pinv(jac), residual)) % math.pi
-    infidelity = np.abs(_leak(retardances, angles, start.vec, perp)[0]) ** 2
-    best = int(np.argmin(infidelity))
-    if infidelity[best] > _INFIDELITY_TOL:
-        lowest = min(lowest, infidelity[best])
-        raise Unreachable(f"chain {kinds} cannot reach the target; best infidelity found {lowest:.3e}")
+    def infidelity(angles):  # angles (rad) of shape (m, len(kinds))
+        out = start.vec
+        for k, r in enumerate(retardances):
+            out = np.einsum("...ij,...j->...i", _jones(r, angles[:, k]), out)
+        return np.abs(out[:, 1] * target.amp_h - out[:, 0] * target.amp_v) ** 2
+
+    if len(kinds) == 1:  # a trigonometric polynomial of degree 2 in 2a; a = 0 if it is constant
+        angles = np.append(_stationary_angles(lambda a: infidelity(a[:, None])), 0.0)[:, None]
+    else:
+        # A plate at angle a turns the Bloch vector (H at +z, D at +x) about
+        # (sin 2a, 0, cos 2a).  The half-wave plate takes u to v iff u_y = -v_y, at
+        # 4a = atan2(u_x v_z + u_z v_x, u_z v_z - u_x v_x), and leaves the infidelity
+        # (1 - cos(asin w_y + asin e_y))/2 between the fixed state e on its side and
+        # w = W s on the other: s = start, or s = target and W^dagger (retardance
+        # conj(r)) when it comes first.  w_y = Im(r) (s_x cos 2a - s_z sin 2a) is extreme
+        # at 2a + atan2(s_z, s_x) = 0, pi and meets -e_y at +-t (sine exact for linear light).
+        half_last = kinds[1] == "half"
+        source, fixed = (start, target) if half_last else (target, start)
+        r = retardances[0] if half_last else retardances[1].conjugate()
+        (s_x, s_y, s_z), (e_x, e_y, e_z) = bloch_from_qubit(source.vec), bloch_from_qubit(fixed.vec)
+        root = math.sqrt(max((s_x * s_x + s_z * s_z) * (e_x * e_x + e_z * e_z) - (s_y * e_y) ** 2, 0.0))
+        t = math.atan2(root, -r.imag * e_y)
+        other = (np.array([0.0, math.pi, t, -t]) - math.atan2(s_z, s_x)) / 2.0
+        w_x, _, w_z = bloch_from_qubit(_jones(r, other) @ source.vec).T
+        half = np.arctan2(w_x * e_z + w_z * e_x, w_z * e_z - w_x * e_x) / 4.0
+        angles = np.stack([other, half] if half_last else [half, other], -1)
+    infidelities = infidelity(angles)
+    best = int(np.argmin(infidelities))
+    least = float(infidelities[best])
+    if least > _INFIDELITY_TOL:
+        raise Unreachable(f"chain {kinds} cannot reach the target; best infidelity found {least:.3e}")
     settings = [WaveplateSetting(k, math.degrees(a)) for k, a in zip(kinds, angles[best])]
-    return WaveplateSolution(settings, float(infidelity[best]))
+    return WaveplateSolution(settings, least)
 
 
 def projection_amplitude(arm_state: SymmetricState, projector_state: SymmetricState) -> complex:
@@ -226,14 +222,8 @@ def default_delta_grid(n: int = 100) -> np.ndarray:
 
 
 def fringe_trace(
-    arm_a,
-    arm_b,
-    projector,
-    delta_rad,
-    *,
-    noise_mean_photons: float | None = None,
-    rng=None,
-    arm_ratio: float = 1.0,
+    arm_a, arm_b, projector, delta_rad, *,
+    noise_mean_photons: float | None = None, rng=None, arm_ratio: float = 1.0,
 ) -> FringeTrace:
     """Interference fringe of the two projected arms.
 
@@ -247,16 +237,16 @@ def fringe_trace(
     Generator) must then be supplied explicitly.  A batch is one draw in C
     order, the draws of a loop over its elements with the same generator.
     """
-    if arm_ratio <= 0.0:
-        raise ValueError("arm_ratio must be positive")
+    if not 0.0 < arm_ratio < math.inf:
+        raise ValueError(f"arm_ratio must be finite and positive, got {arm_ratio}")
     delta = np.asarray(delta_rad, dtype=float)
     r = arm_ratio * projection_amplitude(arm_a, projector)
     q = projection_amplitude(arm_b, projector)
     ideal = np.abs(np.asarray(r)[..., None] * np.exp(1j * delta) + np.asarray(q)[..., None]) ** 2
     if noise_mean_photons is None:
         return FringeTrace(delta, ideal, None)
-    if noise_mean_photons <= 0.0:
-        raise ValueError("noise_mean_photons must be positive")
+    if not 0.0 < noise_mean_photons <= MAX_NOISE_PHOTONS:
+        raise ValueError(f"noise_mean_photons {noise_mean_photons} is not in (0, {MAX_NOISE_PHOTONS:g}]")
     if rng is None:
         raise ValueError("Poisson noise requires an explicit rng seed or Generator")
     peak = (abs(r) + abs(q)) ** 2

@@ -307,6 +307,8 @@ def fit_offset(measured, theory: PhaseCurve) -> OffsetFit:
     arr = np.asarray(measured, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError("measured must be a sequence of (phi_deg, gamma_rad) pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("measured must hold finite values only")
     phi, gam = arr[..., 0], arr[..., 1]
     inside = (phi >= theory.phi_deg[0]) & (phi <= theory.phi_deg[-1])
     count = inside.sum(-1)

@@ -1,12 +1,14 @@
 """Acceptance verification suite with pinned tolerances.
 
-Each criterion runs one self-contained check and returns a CriterionResult;
-the CLI command ``triphase verify`` and tests/test_acceptance.py both consume
-the same functions, so a green suite here is the definition of done.
+Each criterion is one self-contained check, registered in CRITERIA with its
+index and name, whose run returns a timed CriterionResult; the CLI command
+``triphase verify`` and tests/test_acceptance.py both consume the same
+functions, so a green suite here is the definition of done.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -59,6 +61,30 @@ class CriterionResult:
         return f"{status} {self.index:02d} {self.name}: {self.detail} [{self.seconds:.2f}s]"
 
 
+class CriterionSpec(NamedTuple):
+    index: int
+    name: str
+    run: Callable[..., CriterionResult]
+
+
+CRITERIA: list[CriterionSpec] = []
+
+
+def _criterion(index: int, name: str, seconds_limit: float = math.inf):
+    """Register a check returning (passed, detail) as criterion ``index``; the
+    registered run times the check, and fails it past ``seconds_limit``."""
+    def register(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, detail = check(*args, **kwargs)
+            seconds = time.perf_counter() - t0
+            return CriterionResult(index, name, passed and seconds < seconds_limit, detail, seconds)
+        CRITERIA.append(CriterionSpec(index, name, run))
+        return run
+    return register
+
+
 def _off_poles(margin: float, *grid):
     """The grid points whose phi (deg, last) is at least ``margin`` from both
     formula poles 180 +- chi/2 (chi second to last), circularly."""
@@ -93,7 +119,8 @@ def _first_passing(draw, passes, n: int):
     return np.concatenate(kept), drawn - n
 
 
-def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> CriterionResult:
+@_criterion(1, "oracle-equivalence", seconds_limit=5.0)
+def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> tuple[bool, str]:
     """Analytic curve formulas against direct overlap-product arithmetic.
 
     Grid: theta in {2,10,20,45,90} x chi in {0,60,120,180} x phi step 1 deg,
@@ -104,7 +131,6 @@ def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> Criteri
     against the direct route just inside the singular point instead.
     ``total_phase_fn`` broadcasts over arrays.
     """
-    t0 = time.perf_counter()
     theta, chi, phi = _off_poles(0.5, *np.meshgrid(
         (2.0, 10.0, 20.0, 45.0, 90.0), (0.0, 60.0, 120.0, 180.0), np.arange(0.0, 360.0, 1.0), indexing="ij"
     ))
@@ -128,26 +154,19 @@ def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> Criteri
     lim = three_vertex_phase(*make_triplet(TripletParams(90.0 - eps, chi, phi)))
     worst_limit = float(np.max(np.abs(wrap_angle(total_phase_fn(90.0, chi, phi) - lim))))
 
-    seconds = time.perf_counter() - t0
-    passed = (
-        worst < 1e-9
-        and n_bad_singular == 0
-        and n_singular > 0
-        and worst_limit < 1e-4
-        and seconds < 5.0
-    )
+    passed = worst < 1e-9 and n_bad_singular == 0 and n_singular > 0 and worst_limit < 1e-4
     detail = (
         f"max|diff|={worst:.3e} over {n_compared} samples; "
         f"{n_singular} singular skips (theta=90 row only: {n_bad_singular == 0}); "
         f"theta=90 limit err={worst_limit:.3e}"
     )
-    return CriterionResult(1, "oracle-equivalence", passed, detail, seconds)
+    return passed, detail
 
 
-def criterion_jump_law() -> CriterionResult:
+@_criterion(2, "jump-law")
+def criterion_jump_law() -> tuple[bool, str]:
     """Jump centers at 180 +- chi/2 (0.1 deg), |rise| = 2pi (1e-6);
     merged single |4pi| rise at 180 for chi = 0."""
-    t0 = time.perf_counter()
     grid = np.linspace(0.0, 360.0, 721)
     problems = []
     worst_center = 0.0
@@ -175,18 +194,17 @@ def criterion_jump_law() -> CriterionResult:
         jump = curve0.jumps[0]
         worst_center = max(worst_center, abs(jump.phi_center_deg - 180.0))
         worst_rise = max(worst_rise, abs(abs(jump.rise_rad) - 2.0 * TWO_PI))
-    seconds = time.perf_counter() - t0
     passed = not problems and worst_center < 0.1 and worst_rise < 1e-6
     detail = (
         f"max center err={worst_center:.3e} deg, max |rise| err={worst_rise:.3e} rad"
         + ("; " + "; ".join(problems) if problems else "")
     )
-    return CriterionResult(2, "jump-law", passed, detail, seconds)
+    return passed, detail
 
 
-def criterion_steepening() -> CriterionResult:
+@_criterion(3, "steepening")
+def criterion_steepening() -> tuple[bool, str]:
     """10-90% jump widths strictly decrease for theta 20 -> 10 -> 5 -> 2 at chi=120."""
-    t0 = time.perf_counter()
     grid = np.linspace(0.0, 360.0, 721)
     widths = []
     ok = True
@@ -200,16 +218,15 @@ def criterion_steepening() -> CriterionResult:
         for j in range(2):
             seq = [w[j] for w in widths]
             ok = ok and all(b < a for a, b in zip(seq, seq[1:]))
-    seconds = time.perf_counter() - t0
     detail = "widths(deg) per theta 20/10/5/2: " + (
         "; ".join(",".join(f"{w:.4f}" for w in row) for row in widths) if widths else "n/a"
     )
-    return CriterionResult(3, "steepening", ok, detail, seconds)
+    return ok, detail
 
 
-def criterion_area_phase() -> CriterionResult:
+@_criterion(4, "area-phase-law")
+def criterion_area_phase() -> tuple[bool, str]:
     """1000 random qubit triples: wrap(gamma + Omega/2) = 0 within 1e-9."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20260810)
     triples, redraws = _first_passing(
         lambda m: _haar(rng, (m, 3), 2),
@@ -220,15 +237,14 @@ def criterion_area_phase() -> CriterionResult:
     gamma = three_vertex_phase(a, b, c)
     omega = spherical_triangle_signed_area(bloch_from_qubit(a), bloch_from_qubit(b), bloch_from_qubit(c))
     worst = float(np.max(np.abs(wrap_angle(gamma + omega / 2.0))))
-    seconds = time.perf_counter() - t0
     passed = worst < 1e-9
     detail = f"max|wrap(gamma + Omega/2)|={worst:.3e} over {len(triples)} triples ({redraws} redraws)"
-    return CriterionResult(4, "area-phase-law", passed, detail, seconds)
+    return passed, detail
 
 
-def criterion_majorana_roundtrip() -> CriterionResult:
+@_criterion(5, "majorana-roundtrip")
+def criterion_majorana_roundtrip() -> tuple[bool, str]:
     """1000 random symmetric states (100 near-degenerate): roundtrip fidelity >= 1 - 1e-9."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(6021023)
     states = _haar(rng, (900,), 3)
     pairs = []
@@ -239,16 +255,15 @@ def criterion_majorana_roundtrip() -> CriterionResult:
     p, q = np.moveaxis(pairs, 1, 0)
     states = np.concatenate([states, symmetrize(p, np.stack(_unit(list(q.T)), -1))])
     worst = float(np.min(np.abs(inner(symmetrize(*majorana_decompose(states)), states))))
-    seconds = time.perf_counter() - t0
     passed = worst >= 1.0 - 1e-9
     detail = f"min roundtrip fidelity={worst:.15f} over {len(states)} states"
-    return CriterionResult(5, "majorana-roundtrip", passed, detail, seconds)
+    return passed, detail
 
 
-def criterion_eraser_equivalence() -> CriterionResult:
+@_criterion(6, "eraser-equivalence")
+def criterion_eraser_equivalence() -> tuple[bool, str]:
     """500 random state sets (pairwise overlaps >= 0.05): noiseless fringe-shift
     difference equals the direct three-vertex phase difference within 1e-9."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(31415926)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     sets, _ = _first_passing(
@@ -260,16 +275,15 @@ def criterion_eraser_equivalence() -> CriterionResult:
     direct = wrap_angle(three_vertex_phase(s1, s2, p_b) - three_vertex_phase(s1, s2, p_a))
     shift = phase_variation(s1, s2, p_a, p_b)
     worst = float(np.max(np.abs(wrap_angle(shift - direct))))
-    seconds = time.perf_counter() - t0
     passed = worst < 1e-9
     detail = f"max|shift - direct|={worst:.3e} over {len(sets)} state sets"
-    return CriterionResult(6, "eraser-equivalence", passed, detail, seconds)
+    return passed, detail
 
 
-def criterion_projection_chain() -> CriterionResult:
+@_criterion(7, "projection-chain")
+def criterion_projection_chain() -> tuple[bool, str]:
     """Composed waveplate/PBS/up-conversion chain vs direct projection:
     200 random settings, |amplitude| and arm-amplitude ratios within 1e-12."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(8086)
 
     def passes(angles):
@@ -286,19 +300,18 @@ def criterion_projection_chain() -> CriterionResult:
     direct, chain = projection_amplitude(arms, proj), projection_chain_amplitude(arms, psi3, psi3m)
     worst_mag = float(np.max(np.abs(np.abs(chain) - np.abs(direct))))
     worst_ratio = float(np.max(np.abs(chain[0] / chain[1] - direct[0] / direct[1])))
-    seconds = time.perf_counter() - t0
     passed = worst_mag < 1e-12 and worst_ratio < 1e-12
     detail = (
         f"max |amp| err={worst_mag:.3e}, max arm-ratio err={worst_ratio:.3e} over {len(settings)} settings"
     )
-    return CriterionResult(7, "projection-chain", passed, detail, seconds)
+    return passed, detail
 
 
-def criterion_noise_robustness() -> CriterionResult:
+@_criterion(8, "noise-robustness", seconds_limit=30.0)
+def criterion_noise_robustness() -> tuple[bool, str]:
     """Poisson noise at 1e5 mean photons, 100 samples/trace, 1000 trials:
     phase error < 5 mrad in >= 99% of trials; the 5 mrad bound is pre-validated
     against the linear-fit covariance."""
-    t0 = time.perf_counter()
     params = TripletParams(10.0, 120.0, 30.0)
     s1, s2, s3 = make_triplet(params)
     delta = default_delta_grid(100)
@@ -325,19 +338,18 @@ def criterion_noise_robustness() -> CriterionResult:
     trials = np.broadcast_to(np.asarray(s3), (1000, 3))
     traces = fringe_trace(s1, s2, trials, delta, noise_mean_photons=mean_photons, rng=987654321)
     n_ok = int(np.sum(np.abs(wrap_angle(extract_fringe_phase(traces).phase_rad - truth)) < 5e-3))
-    seconds = time.perf_counter() - t0
-    passed = n_ok >= 990 and tolerance_validated and seconds < 30.0
+    passed = n_ok >= 990 and tolerance_validated
     detail = (
         f"{n_ok}/1000 trials under 5 mrad; predicted sigma={sigma_pred * 1e3:.3f} mrad "
         f"(tolerance = {5e-3 / sigma_pred:.1f} sigma)"
     )
-    return CriterionResult(8, "noise-robustness", passed, detail, seconds)
+    return passed, detail
 
 
-def criterion_offset_fitting() -> CriterionResult:
+@_criterion(9, "offset-fitting")
+def criterion_offset_fitting() -> tuple[bool, str]:
     """Recover a 0.3 rad offset from 50 noisy points (sigma = 0.05) within
     3*sigma/sqrt(n) in >= 99% of 500 trials."""
-    t0 = time.perf_counter()
     theory = sweep_phi(10.0, 120.0, np.linspace(0.0, 360.0, 721))
     rng = np.random.default_rng(55555)
     bound = 3.0 * 0.05 / math.sqrt(50.0)
@@ -348,16 +360,15 @@ def criterion_offset_fitting() -> CriterionResult:
     gammas = np.interp(phis, theory.phi_deg, theory.gamma_rad) + 0.3 + noise
     fit = fit_offset(np.stack([phis, gammas], -1), theory)
     hits = int(np.sum(np.abs(wrap_angle(fit.offset_rad - 0.3)) <= bound))
-    seconds = time.perf_counter() - t0
     passed = hits >= 495
     detail = f"{hits}/500 trials within {bound:.4f} rad of the injected offset"
-    return CriterionResult(9, "offset-fitting", passed, detail, seconds)
+    return passed, detail
 
 
-def criterion_figure_reproduction() -> CriterionResult:
+@_criterion(10, "figure-reproduction")
+def criterion_figure_reproduction() -> tuple[bool, str]:
     """All figure panels present; every curve changes by exactly 4pi in
     magnitude per 360 deg (1e-6) and stays continuous (steps < pi/2)."""
-    t0 = time.perf_counter()
     curves = figures.figure_curves()
     problems = []
     if len(curves) != len(figures.FIGURE_PANELS):
@@ -368,32 +379,12 @@ def criterion_figure_reproduction() -> CriterionResult:
             problems.append(f"{name}: |net|={abs(net):.9f}")
         if float(np.max(np.abs(np.diff(curve.gamma_rad)))) >= math.pi / 2.0:
             problems.append(f"{name}: discontinuous")
-    seconds = time.perf_counter() - t0
     passed = not problems
     detail = f"{len(curves)} panel curves, |net| = 4pi and continuity verified" + (
         "; " + "; ".join(problems) if problems else ""
     )
-    return CriterionResult(10, "figure-reproduction", passed, detail, seconds)
+    return passed, detail
 
-
-class CriterionSpec(NamedTuple):
-    index: int
-    name: str
-    run: Callable[[], CriterionResult]
-
-
-CRITERIA: list[CriterionSpec] = [
-    CriterionSpec(1, "oracle-equivalence", criterion_oracle_equivalence),
-    CriterionSpec(2, "jump-law", criterion_jump_law),
-    CriterionSpec(3, "steepening", criterion_steepening),
-    CriterionSpec(4, "area-phase-law", criterion_area_phase),
-    CriterionSpec(5, "majorana-roundtrip", criterion_majorana_roundtrip),
-    CriterionSpec(6, "eraser-equivalence", criterion_eraser_equivalence),
-    CriterionSpec(7, "projection-chain", criterion_projection_chain),
-    CriterionSpec(8, "noise-robustness", criterion_noise_robustness),
-    CriterionSpec(9, "offset-fitting", criterion_offset_fitting),
-    CriterionSpec(10, "figure-reproduction", criterion_figure_reproduction),
-]
 
 
 def run_all() -> list[CriterionResult]:

@@ -3,6 +3,7 @@ fringes, phase extraction, noise statistics."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -136,8 +137,8 @@ class TestSolveWaveplates:
             solve_waveplates(R, ("half", "half"), H)
 
     def test_unreachable_message_reports_the_lowest_infidelity(self):
-        # the final Gauss-Newton iterates need not hold the lowest infidelity
-        # seen; the message reports the lowest over the grid and every iterate
+        # a single quarter-wave plate cannot reach this target; the message
+        # reports the exact least infidelity, which a dense angle scan bounds
         start = QubitState.of(-0.6075 - 0.0498j, -0.1091 + 0.7852j)
         target = QubitState.of(-0.4397 + 0.0972j, -0.0497 - 0.8915j)
         with pytest.raises(Unreachable) as info:
@@ -153,9 +154,12 @@ class TestSolveWaveplates:
         assert scan_min == pytest.approx(0.1113, abs=1e-4)
         assert scan_min <= printed <= 0.12
 
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError):
-            solve_waveplates(D, [], H)
+    @pytest.mark.parametrize(
+        "kinds", [[], ["quarter", "quarter"], ["quarter", "half", "quarter"]], ids=["empty", "qq", "three"]
+    )
+    def test_unsupported_chain_rejected(self, kinds):
+        with pytest.raises(ValueError, match=re.escape(f"chain {kinds}")):
+            solve_waveplates(D, kinds, H)
 
 
 class TestProjection:
@@ -274,11 +278,17 @@ class TestFringe:
             fringe_trace(s1, s2, s3, default_delta_grid(), noise_mean_photons=100.0)
         with pytest.raises(ValueError):
             phase_variation(s1, s2, s3, s3, noise_mean_photons=100.0)
+        for bad in (0.0, np.nan, np.inf, 1e30):
+            with pytest.raises(ValueError, match="^noise_mean_photons"):
+                fringe_trace(s1, s2, s3, default_delta_grid(), noise_mean_photons=bad, rng=1)
 
     def test_arm_ratio_must_be_positive(self):
         s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
-        with pytest.raises(ValueError):
-            fringe_trace(s1, s2, s3, default_delta_grid(), arm_ratio=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match="^arm_ratio"):
+                    fringe_trace(s1, s2, s3, default_delta_grid(), arm_ratio=bad)
 
     def test_same_seed_same_trace(self):
         s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))

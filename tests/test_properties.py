@@ -1,13 +1,17 @@
-"""Property tests of the phase-curve sweep over the whole documented domain."""
+"""Property tests of the phase-curve sweep and the waveplate solver over the
+whole documented domain."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from triphase.core import QubitState  # noqa: E402
+from triphase.eraser import Unreachable, WaveplateSetting, solve_waveplates, waveplate_matrix  # noqa: E402
 from triphase.triplet import sweep_phi, total_phase_continuous  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
@@ -50,3 +54,50 @@ def test_mirror_law(theta, chi):
     expected = sorted((c + 180.0) % 360.0 for c in centers)
     for got, want in zip(mirror_centers, expected):
         assert min(abs(got - want), 360.0 - abs(got - want)) < 1e-9
+
+
+def _qubit(polar, azimuth):
+    """The state at Bloch angles (degrees) polar from H and azimuth from D."""
+    half, phi = math.radians(polar) / 2.0, math.radians(azimuth)
+    return QubitState.of(math.cos(half), complex(math.cos(phi), math.sin(phi)) * math.sin(half))
+
+
+qubits = st.builds(_qubit, st.floats(0.0, 180.0), st.floats(0.0, 360.0))
+CHAINS = [["half"], ["quarter"], ("quarter", "half"), ("half", "quarter"), ("half", "half")]
+
+
+def _scan_infidelity(target, kinds, start, angles_deg):
+    """1 - |<target|chain|start>|^2 over a grid of angles, one axis per plate."""
+    outs = start.vec
+    for kind in kinds:
+        plates = np.array([waveplate_matrix(WaveplateSetting(kind, a)) for a in angles_deg])
+        outs = np.einsum("kij,...j->...ki", plates, outs)
+    return 1.0 - np.abs(outs @ target.vec.conj()) ** 2
+
+
+@PROPERTY
+@given(qubits, qubits, st.sampled_from(CHAINS))
+def test_waveplate_solution_is_the_least_infidelity(start, target, kinds):
+    try:
+        solution = solve_waveplates(target, kinds, start)
+    except Unreachable as exc:
+        printed = float(re.search(r"best infidelity found (\S+)$", str(exc)).group(1))
+        scan = _scan_infidelity(target, kinds, start, np.arange(0.0, 180.0, 0.25))
+        assert printed <= float(scan.min()) * (1.0 + 1e-3)  # the slack covers the 3-digit print
+        return
+    out = start.vec
+    for setting in solution.settings:
+        out = waveplate_matrix(setting) @ out
+    assert solution.infidelity <= 1e-6
+    assert 1.0 - abs(np.vdot(target.vec, out)) ** 2 == pytest.approx(solution.infidelity, abs=1e-12)
+
+
+@PROPERTY
+@given(st.floats(0.0, 180.0), st.floats(0.0, 360.0), qubits)
+@example(0.0, 0.0, _qubit(90.0, 90.0))  # circular targets, exactly and nearly so
+@example(30.0, 0.0, _qubit(90.0 - 1e-6, 270.0))
+def test_quarter_then_half_wave_plate_reach_every_state_from_linear_light(angle, phase, target):
+    # Simon & Mukunda, Phys. Lett. A 143, 165 (1990); linear light up to a global phase
+    a = math.radians(angle)
+    start = QubitState.of(*np.exp(1j * math.radians(phase)) * np.array([math.cos(a), math.sin(a)]))
+    assert solve_waveplates(target, ("quarter", "half"), start).infidelity <= 1e-24

@@ -344,6 +344,15 @@ class TestFitOffset:
         assert fit.offset_rad == pytest.approx(0.3, abs=1e-9)
         assert fit.rms_rad < 1e-9
 
+    def test_non_finite_measurement_rejected(self):
+        theory = self._theory()
+        phis = np.linspace(5, 355, 40)
+        for column, bad in ((1, np.nan), (1, np.inf), (0, np.nan)):
+            measured = np.column_stack([phis, np.interp(phis, theory.phi_deg, theory.gamma_rad)])
+            measured[7, column] = bad
+            with pytest.raises(ValueError, match="^measured"):
+                fit_offset(measured, theory)
+
     def test_wrap_boundary_offset(self):
         theory = self._theory()
         phis = np.linspace(5, 355, 40)
