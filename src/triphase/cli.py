@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Commands: phase-curve, fringe, reproduce-figures, verify.  Angles are in
-degrees at this interface; file outputs are CSV or JSON with fixed
-15-significant-digit formatting, so identical configs (and seeds) produce
-byte-identical files.
+degrees at this interface.  CSV files write each float with 15 significant
+digits (``%.15g``); JSON files write it as Python's shortest repr that reads
+back to the same float, as ``json`` does.  Identical configs (and seeds)
+produce byte-identical files on one machine and numpy build.
 
 JSON schemas:
 
@@ -87,15 +88,41 @@ def _check_angle(name: str, value: float, lo: float, hi: float, *, allow_lo: boo
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"out: {exc.filename or path}: {exc.strerror or exc}") from None
+
+
+def _csv(cols: dict) -> str:
+    """A header of the column names, then one row of ``%.15g`` fields per sample."""
+    values = tuple(np.column_stack(list(cols.values())).ravel().tolist())
+    row = ",".join(["%.15g"] * len(cols)) + "\n"
+    return ",".join(cols) + "\n" + (row * (len(values) // len(cols))) % values
+
+
+def _json(doc: dict, cols: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\n"`` with the empty ``doc["samples"]``
+    filled by one object of the columns' finite floats per sample, in one
+    ``%r`` format; ``%r`` is the ``float.__repr__`` that ``json`` writes."""
+    text = json.dumps(doc, indent=2) + "\n"
+    values = tuple(np.column_stack(list(cols.values())).ravel().tolist())
+    if not values:
+        return text
+    row = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %r" for k in cols) + "\n    }"
+    rows = ",\n".join([row] * (len(values) // len(cols))) % values
+    head, tail = text.split('\n  "samples": []', 1)
+    return "".join((head, '\n  "samples": [\n', rows, "\n  ]", tail))
+
+
+def _curve_columns(curve: PhaseCurve) -> dict:
+    gamma = curve.gamma_rad
+    return {"phi_deg": curve.phi_deg, "gamma_rad_unwrapped": gamma, "gamma_deg_unwrapped": np.degrees(gamma)}
 
 
 def phase_curve_csv(curve: PhaseCurve) -> str:
-    lines = ["phi_deg,gamma_rad_unwrapped,gamma_deg_unwrapped"]
-    for phi, gam in zip(curve.phi_deg, curve.gamma_rad):
-        lines.append(f"{_fmt(phi)},{_fmt(gam)},{_fmt(math.degrees(gam))}")
-    return "\n".join(lines) + "\n"
+    return _csv(_curve_columns(curve))
 
 
 def phase_curve_json(curve: PhaseCurve, phi_range: tuple[float, float, int]) -> str:
@@ -106,14 +133,7 @@ def phase_curve_json(curve: PhaseCurve, phi_range: tuple[float, float, int]) -> 
             "chi_deg": curve.chi_deg,
             "phi": {"start": phi_range[0], "stop": phi_range[1], "count": phi_range[2]},
         },
-        "samples": [
-            {
-                "phi_deg": float(phi),
-                "gamma_rad_unwrapped": float(gam),
-                "gamma_deg_unwrapped": math.degrees(float(gam)),
-            }
-            for phi, gam in zip(curve.phi_deg, curve.gamma_rad)
-        ],
+        "samples": [],
         "jumps": [
             {
                 "phi_center_deg": j.phi_center_deg,
@@ -123,27 +143,21 @@ def phase_curve_json(curve: PhaseCurve, phi_range: tuple[float, float, int]) -> 
             for j in curve.jumps
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc, _curve_columns(curve))
 
 
 def fringe_csv(trace) -> str:
-    lines = ["delta_rad,intensity"]
-    for d, i in zip(trace.delta_rad, trace.intensity):
-        lines.append(f"{_fmt(d)},{_fmt(i)}")
-    return "\n".join(lines) + "\n"
+    return _csv({"delta_rad": trace.delta_rad, "intensity": trace.intensity})
 
 
 def fringe_json(trace, fit, params: dict) -> str:
     doc = {
         "command": "fringe",
         "params": params,
-        "samples": [
-            {"delta_rad": float(d), "intensity": float(i)}
-            for d, i in zip(trace.delta_rad, trace.intensity)
-        ],
+        "samples": [],
         "fit": {"phase_rad": fit.phase_rad, "visibility": fit.visibility},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc, {"delta_rad": trace.delta_rad, "intensity": trace.intensity})
 
 
 def cmd_phase_curve(args) -> int:
@@ -212,7 +226,6 @@ def cmd_fringe(args) -> int:
 
 def cmd_reproduce_figures(args) -> int:
     out_dir = Path(args.out) if args.out else Path("figures")
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = []
     for name, curve in figures.figure_curves():
         _write_text(out_dir / f"{name}.csv", phase_curve_csv(curve))

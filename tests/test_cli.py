@@ -1,5 +1,6 @@
 """Command-line surface: file formats, determinism, exit codes."""
 
+import hashlib
 import importlib
 import json
 import math
@@ -15,7 +16,8 @@ import pytest
 
 import triphase
 from triphase import cli
-from triphase.triplet import sweep_phi
+from triphase.eraser import default_delta_grid, extract_fringe_phase, fringe_trace
+from triphase.triplet import TripletParams, make_triplet, sweep_phi
 
 TWO_PI = 2.0 * math.pi
 
@@ -192,6 +194,72 @@ class TestReproduceFigures:
         assert (tmp_path / "figs" / "chi-sweep_theta10_chi120.csv").read_bytes() == (
             tmp_path / "direct.csv"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-curve", "--theta", "10", "--chi", "120", "--out", "a-dir"],
+    ["phase-curve", "--theta", "10", "--chi", "120", "--format", "json", "--out", "a-file/c.json"],
+    ["fringe", "--theta", "10", "--chi", "120", "--out", "a-dir"],
+    ["fringe", "--theta", "10", "--chi", "120", "--out", "a-file/f.csv"],
+    ["reproduce-figures", "--out", "a-file"],
+])
+def test_unwritable_out_is_a_validation_error(argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("")
+    code, out, err = run(argv, tmp_path, monkeypatch, capsys)
+    assert code == 2, err
+    assert re.fullmatch(r"error: out: a-(dir|file)\S*: [A-Z][^\n]+\n", err), err
+    assert out == ""
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _curve_numbers(theta):
+    curve = sweep_phi(theta, 120.0, np.linspace(0.0, 360.0, 721))
+    jumps = [x for j in curve.jumps for x in (j.phi_center_deg, j.rise_rad, j.width_deg)]
+    return [curve.phi_deg, curve.gamma_rad, jumps]
+
+
+def _fringe_numbers():
+    s1, s2, s3 = make_triplet(TripletParams(10.0, 120.0, 30.0))
+    trace = fringe_trace(s1, s2, s3, default_delta_grid(100), noise_mean_photons=1e5, rng=7)
+    return [trace.delta_rad, trace.intensity, extract_fringe_phase(trace)]
+
+
+# sha256 of the numbers each command computes and of the CSV and JSON files it
+# wrote before the writers formatted all rows in one pass (x86-64 with AVX-512,
+# numpy 2.4). numpy's SIMD paths, libm and BLAS can move a number by an ulp on
+# another machine; there the file digests cannot hold and the test skips, and
+# the oracle property test in test_properties.py still checks every byte.
+GOLDEN = [
+    (["phase-curve", "--theta", "10", "--chi", "120"], lambda: _curve_numbers(10.0),
+     "705a19c648083a7b016fd3b174cafc89492080fcad2ace32e7dfdfd743a3515c",
+     "af3b932ca03fb203f24ed4c745ecddb33ec9608731c7887ac9a360bb444fe841",
+     "a14e75130902dcdd509973f3a8ad6adf5c51fddd7debecde2af74264445dbe87"),
+    # 729 rows: the 721 grid points and 8 refined ones
+    (["phase-curve", "--theta", "0.5", "--chi", "120"], lambda: _curve_numbers(0.5),
+     "293d0594e69ee9338ed240866c193026230165a0b6610f817f3f3ce75d5c47d7",
+     "700aceabb7a00e38d6387947ec0e46099dcd5c56d561632767351ac5e93f2fd6",
+     "b9cded1b46dcc543bfbdd73964d5a3e9b4ea0c18736d401671475e16eba10a36"),
+    (["fringe", "--theta", "10", "--chi", "120", "--phi", "30", "--noise-photons", "1e5", "--seed", "7"],
+     _fringe_numbers,
+     "65540d338ba6e5f59ca77863b0b1e59631cde13954bfffd16402dffe3af8774e",
+     "ca37c3b0503c51bf72be40c4b0f8295e68e9ce24f8cef7fdd8c16324496750f4",
+     "8a46b13c6718b6fe2665d87c747931350af7a7632a06cf38d341b229e865bf43"),
+]
+
+
+@pytest.mark.parametrize("argv, numbers, numbers_sha, csv_sha, json_sha", GOLDEN,
+                         ids=["phase-curve", "phase-curve-refined", "fringe-noise"])
+def test_output_bytes_are_pinned(argv, numbers, numbers_sha, csv_sha, json_sha, tmp_path, monkeypatch, capsys):
+    if _sha256(np.concatenate([np.ravel(a) for a in numbers()]).tobytes()) != numbers_sha:
+        pytest.skip("this machine computes other numbers than the pinned files hold")
+    for fmt, digest in (("csv", csv_sha), ("json", json_sha)):
+        code, _, err = run(argv + ["--format", fmt, "--out", f"out.{fmt}"], tmp_path, monkeypatch, capsys)
+        assert code == 0, err
+        assert _sha256((tmp_path / f"out.{fmt}").read_bytes()) == digest, fmt
 
 
 def _strip_timing(report: str) -> str:

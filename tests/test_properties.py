@@ -1,6 +1,7 @@
-"""Property tests of the phase-curve sweep and the waveplate solver over the
-whole documented domain."""
+"""Property tests of the phase-curve sweep, the waveplate solver and the CLI
+writers over the whole documented domain."""
 
+import json
 import math
 import re
 
@@ -10,9 +11,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from triphase import cli  # noqa: E402
 from triphase.core import QubitState  # noqa: E402
-from triphase.eraser import Unreachable, WaveplateSetting, solve_waveplates, waveplate_matrix  # noqa: E402
-from triphase.triplet import sweep_phi, total_phase_continuous  # noqa: E402
+from triphase.eraser import (  # noqa: E402
+    FringeFit,
+    Unreachable,
+    WaveplateSetting,
+    default_delta_grid,
+    fringe_trace,
+    solve_waveplates,
+    waveplate_matrix,
+)
+from triphase.triplet import TripletParams, make_triplet, sweep_phi, total_phase_continuous  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,3 +111,46 @@ def test_quarter_then_half_wave_plate_reach_every_state_from_linear_light(angle,
     a = math.radians(angle)
     start = QubitState.of(*np.exp(1j * math.radians(phase)) * np.array([math.cos(a), math.sin(a)]))
     assert solve_waveplates(target, ("quarter", "half"), start).infidelity <= 1e-24
+
+
+# The writers as they were before they formatted all rows in one pass: one
+# format() or one dict per row, then json.dumps(doc, indent=2) + "\n".
+def _oracle_csv(header, rows):
+    return "\n".join([header] + [",".join(format(float(x), ".15g") for x in row) for row in rows]) + "\n"
+
+
+@PROPERTY
+@given(thetas, chis, st.floats(-720.0, 720.0), spans, st.integers(3, 2001))
+def test_curve_writers_match_the_per_row_formulation(theta, chi, start, span, count):
+    curve = sweep_phi(theta, chi, np.linspace(start, start + span, count))
+    rows = [(phi, gam, math.degrees(gam)) for phi, gam in zip(curve.phi_deg.tolist(), curve.gamma_rad.tolist())]
+    assert cli.phase_curve_csv(curve) == _oracle_csv("phi_deg,gamma_rad_unwrapped,gamma_deg_unwrapped", rows)
+    doc = {
+        "command": "phase-curve",
+        "params": {"theta_deg": theta, "chi_deg": chi, "phi": {"start": start, "stop": start + span, "count": count}},
+        "samples": [dict(zip(("phi_deg", "gamma_rad_unwrapped", "gamma_deg_unwrapped"), row)) for row in rows],
+        "jumps": [{"phi_center_deg": j.phi_center_deg, "rise_rad": j.rise_rad, "width_deg": j.width_deg}
+                  for j in curve.jumps],
+    }
+    assert cli.phase_curve_json(curve, (start, start + span, count)) == json.dumps(doc, indent=2) + "\n"
+
+
+@PROPERTY
+@given(st.floats(0.0, 180.0), chis, st.floats(0.0, 360.0, exclude_max=True), st.integers(10, 500),
+       st.one_of(st.none(), st.floats(1.0, 1e15)), st.integers(0, 2**32 - 1),
+       st.floats(-math.pi, math.pi), st.floats(0.0, 1.0))
+def test_fringe_writers_match_the_per_row_formulation(theta, chi, phi, steps, photons, seed, phase, visibility):
+    s1, s2, s3 = make_triplet(TripletParams(theta, chi, phi))
+    trace = fringe_trace(s1, s2, s3, default_delta_grid(steps), noise_mean_photons=photons, rng=seed)
+    rows = list(zip(trace.delta_rad.tolist(), trace.intensity.tolist()))
+    assert cli.fringe_csv(trace) == _oracle_csv("delta_rad,intensity", rows)
+    params = {"theta_deg": theta, "chi_deg": chi, "phi_deg": phi, "delta_steps": steps,
+              "noise_photons": photons, "seed": seed}
+    fit = FringeFit(phase, visibility)
+    doc = {
+        "command": "fringe",
+        "params": params,
+        "samples": [{"delta_rad": d, "intensity": i} for d, i in rows],
+        "fit": {"phase_rad": phase, "visibility": visibility},
+    }
+    assert cli.fringe_json(trace, fit, params) == json.dumps(doc, indent=2) + "\n"
