@@ -47,7 +47,9 @@ _MAX_COUNT = 10**6  # grid points of --phi and --delta-steps
 # the fewest samples of the default delta grid that span a fringe fit
 _MIN_DELTA_STEPS = next(n for n in range(3, _MAX_COUNT) if default_delta_grid(n)[-1] >= MIN_FRINGE_SPAN_RAD)
 # the curve falls by 4 pi per 360 degrees and every output step stays below
-# pi/2, so rows grow with the span; 1e5 periods keep them near the count cap
+# pi/2, so rows grow with the span; 1e5 periods keep them near the count cap.
+# The ends keep within as many degrees of 0, where the phase of one period is
+# still good to ~1e-11 rad (at 3.6e13 degrees only to ~4e-5 rad).
 _MAX_PHI_SPAN_DEG = 3.6e7
 
 
@@ -68,8 +70,8 @@ def _parse_phi_range(text: str) -> tuple[float, float, int]:
         count = int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"phi: {exc}") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValidationError(f"phi: start and stop must be finite, got {text!r}")
+    if not (abs(start) <= _MAX_PHI_SPAN_DEG and abs(stop) <= _MAX_PHI_SPAN_DEG):
+        raise ValidationError(f"phi: start and stop must be finite, within +-{_MAX_PHI_SPAN_DEG:g} deg, got {text!r}")
     if not 3 <= count <= _MAX_COUNT:
         raise ValidationError(f"phi: count must lie in [3, {_MAX_COUNT}], got {count}")
     if not stop > start:
@@ -164,7 +166,10 @@ def cmd_phase_curve(args) -> int:
     theta = _check_angle("theta", args.theta, 0.0, 180.0, allow_lo=False)
     chi = _check_angle("chi", args.chi, 0.0, 360.0, allow_lo=True)
     start, stop, count = _parse_phi_range(args.phi)
-    curve = sweep_phi(theta, chi, np.linspace(start, stop, count))
+    grid = np.linspace(start, stop, count)
+    if not (np.diff(grid) > 0.0).all():
+        raise ValidationError(f"phi: {count} points from {start!r} to {stop!r} are not strictly increasing")
+    curve = sweep_phi(theta, chi, grid)
     out = Path(args.out) if args.out else Path(f"phase-curve.{args.format}")
     if args.format == "csv":
         _write_text(out, phase_curve_csv(curve))

@@ -230,11 +230,18 @@ def spherical_triangle_signed_area(v1, v2, v3):
     return float(omega) if np.ndim(omega) == 0 else omega
 
 
+def _haar(rng: np.random.Generator, shape: tuple, dim: int) -> np.ndarray:
+    """Haar-random states of shape (*shape, dim): normalized complex normal
+    vectors, each drawn as its dim real parts, then its dim imaginary parts."""
+    z = rng.normal(size=(*shape, 2, dim))
+    return np.stack(_unit(list(np.moveaxis(z[..., 0, :] + 1j * z[..., 1, :], -1, 0))), -1)
+
+
 def random_qubit(rng: np.random.Generator) -> QubitState:
     """Haar-random qubit state."""
-    return QubitState.of(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
+    return QubitState(*_haar(rng, (), 2))
 
 
 def random_symmetric(rng: np.random.Generator) -> SymmetricState:
     """Haar-random state of the symmetric subspace."""
-    return SymmetricState.of(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
+    return SymmetricState(*_haar(rng, (), 3))

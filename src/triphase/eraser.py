@@ -27,6 +27,7 @@ from .core import QubitState, SymmetricState, bloch_from_qubit, inner, wrap_angl
 TWO_PI = 2.0 * math.pi
 DEFAULT_WAVELENGTH_M = 391e-9
 MIN_FRINGE_SPAN_RAD = 0.9 * TWO_PI  # the samples of a fit span at least this much
+MIN_VISIBILITY = 1e-3  # a fringe fainter than this has no meaningful phase
 MAX_NOISE_PHOTONS = 1e15  # mean photons at the fringe maximum, well inside Poisson sampling
 
 _RETARDANCE = {"quarter": -1j, "half": -1.0 + 0j}
@@ -261,7 +262,7 @@ class FringeFit(NamedTuple):
     visibility: float
 
 
-def extract_fringe_phase(trace: FringeTrace, *, min_visibility: float = 1e-3) -> FringeFit:
+def extract_fringe_phase(trace: FringeTrace) -> FringeFit:
     """Least-squares fit of I = A + B cos(delta) + C sin(delta), for one trace
     (floats) or a batch (arrays): one solve of the normal equations, whose
     matrix is the Gram matrix of the basis (1, cos delta, sin delta).
@@ -269,7 +270,7 @@ def extract_fringe_phase(trace: FringeTrace, *, min_visibility: float = 1e-3) ->
     The phase atan2(C, B) locates the fringe maximum, so a trace synthesized
     as A (1 + v cos(delta - p)) returns p, and phase differences between
     projector settings equal geometric-phase differences.  Raises
-    ZeroVisibility if any trace falls below ``min_visibility``.
+    ZeroVisibility if any trace falls below MIN_VISIBILITY.
     """
     delta, inten = trace.delta_rad, trace.intensity
     if delta.size < 3:
@@ -287,8 +288,8 @@ def extract_fringe_phase(trace: FringeTrace, *, min_visibility: float = 1e-3) ->
     rhs = (inten @ basis.T).reshape(-1, 3).T
     a, b, c = np.linalg.solve(gram, rhs).reshape((3,) + inten.shape[:-1])
     visibility = np.hypot(b, c) / np.where(a > 0.0, a, np.inf)  # 0 where A <= 0
-    if (visibility < min_visibility).any():
-        raise ZeroVisibility(f"fitted visibility {visibility.min():.3e} below {min_visibility:.0e}")
+    if (visibility < MIN_VISIBILITY).any():
+        raise ZeroVisibility(f"fitted visibility {visibility.min():.3e} below {MIN_VISIBILITY:.0e}")
     return FringeFit(wrap_angle(np.arctan2(c, b)), visibility if inten.ndim > 1 else float(visibility))
 
 

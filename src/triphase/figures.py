@@ -15,6 +15,7 @@ from .triplet import PhaseCurve, sweep_phi
 
 THETA_SET = (2.0, 10.0, 20.0, 45.0)
 CHI_SET = (0.0, 60.0, 120.0, 180.0)
+FIGURE_POINTS = 721  # phi samples of each panel, every half degree
 
 FIGURE_PANELS: tuple[tuple[str, float, float], ...] = tuple(
     [(f"theta-sweep_chi0_theta{t:g}", t, 0.0) for t in THETA_SET]
@@ -24,7 +25,7 @@ FIGURE_PANELS: tuple[tuple[str, float, float], ...] = tuple(
 )
 
 
-def figure_curves(points: int = 721) -> list[tuple[str, PhaseCurve]]:
+def figure_curves() -> list[tuple[str, PhaseCurve]]:
     """All panel curves over phi in [0, 360] degrees."""
-    grid = np.linspace(0.0, 360.0, points)
+    grid = np.linspace(0.0, 360.0, FIGURE_POINTS)
     return [(name, sweep_phi(theta, chi, grid)) for name, theta, chi in FIGURE_PANELS]

@@ -84,7 +84,8 @@ class TestPhaseCurve:
 
     def test_bad_phi_specs_rejected(self, tmp_path, monkeypatch, capsys):
         for spec in ("10:5:100", "0:360:2", "0:360", "a:b:c", "0:inf:5", "nan:360:5",
-                     "-inf:0:5", "0:360:1000001", "0:1e12:3", "-2e7:2e7:3"):
+                     "-inf:0:5", "0:360:1000001", "0:1e12:3", "-2e7:2e7:3", "0:5e-324:3",
+                     "1e16:1.0000000000000004e16:5", "1e15:1.000000000001e15:3"):
             code, _, err = run(
                 ["phase-curve", "--theta", "10", "--chi", "120", f"--phi={spec}"],
                 tmp_path, monkeypatch, capsys,

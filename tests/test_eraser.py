@@ -52,6 +52,22 @@ def fidelity_after(matrix, state, target):
     return abs(np.vdot(target.vec, out))
 
 
+def poisson_fit_covariance(delta, lam):
+    """The least-squares coefficients (A, B, C) of A + B cos(delta) + C sin(delta)
+    for the expected counts ``lam``, and their covariance when each sample is a
+    Poisson draw (variance = expected count): the linear-fit formula."""
+    design = np.column_stack([np.ones_like(delta), np.cos(delta), np.sin(delta)])
+    normal_inv = np.linalg.inv(design.T @ design)
+    cov = normal_inv @ design.T @ np.diag(lam) @ design @ normal_inv
+    return normal_inv @ design.T @ lam, cov
+
+
+def expected_counts(s1, s2, s3, delta, mean_photons):
+    """The Poisson means of fringe_trace's noisy samples."""
+    r, q = projection_amplitude(s1, s3), projection_amplitude(s2, s3)
+    return mean_photons * np.abs(r * np.exp(1j * delta) + q) ** 2 / (abs(r) + abs(q)) ** 2
+
+
 class TestWaveplates:
     def test_setting_validation(self):
         with pytest.raises(ValueError):
@@ -333,13 +349,7 @@ class TestExtractFringePhase:
         truth = extract_fringe_phase(fringe_trace(s1, s2, s3, delta)).phase_rad
 
         # visibility uncertainty from the linear-fit covariance (delta method)
-        r = projection_amplitude(s1, s3)
-        q = projection_amplitude(s2, s3)
-        lam = 1e5 * np.abs(r * np.exp(1j * delta) + q) ** 2 / (abs(r) + abs(q)) ** 2
-        design = np.column_stack([np.ones_like(delta), np.cos(delta), np.sin(delta)])
-        normal_inv = np.linalg.inv(design.T @ design)
-        cov = normal_inv @ design.T @ np.diag(lam) @ design @ normal_inv
-        a0, b0, c0 = normal_inv @ design.T @ lam
+        (a0, b0, c0), cov = poisson_fit_covariance(delta, expected_counts(s1, s2, s3, delta, 1e5))
         amp0 = math.hypot(b0, c0)
         grad = np.array([-amp0 / a0**2, b0 / (amp0 * a0), c0 / (amp0 * a0)])
         sigma_vis = math.sqrt(grad @ cov @ grad)
@@ -353,6 +363,29 @@ class TestExtractFringePhase:
             assert fit.visibility <= 1.0 + 3.0 * sigma_vis
         errors = np.array(errors)
         assert np.mean(errors < 5e-3) >= 0.99
+
+    def test_shot_noise_phase_sigma_closed_form(self):
+        # On a uniform grid over one period with n >= 4 samples, the delta-method
+        # phase sigma of the covariance formula is sqrt(2 / sum(I)) / visibility,
+        # the closed form criterion 8 predicts its spread with.
+        for n in (4, 10, 100, 1000):
+            delta = default_delta_grid(n)
+            for visibility in (1.0, 0.9, 0.5, 0.2, 0.05, 0.02):
+                lam = 1e5 * (1.0 + visibility * np.cos(delta - 0.1 * n))
+                (a, b, c), cov = poisson_fit_covariance(delta, lam)
+                grad = np.array([0.0, -c, b]) / (b * b + c * c)
+                closed = math.sqrt(2.0 / lam.sum()) / (math.hypot(b, c) / a)
+                assert closed == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-12, abs=0.0)
+
+        # criterion 8's 1000 seeded fits spread as the closed form predicts
+        s1, s2, s3 = make_triplet(TripletParams(10, 120, 30))
+        delta = default_delta_grid(100)
+        ideal = extract_fringe_phase(fringe_trace(s1, s2, s3, delta))
+        closed = math.sqrt(2.0 / expected_counts(s1, s2, s3, delta, 1e5).sum()) / ideal.visibility
+        trials = np.broadcast_to(np.asarray(s3), (1000, 3))
+        fits = extract_fringe_phase(fringe_trace(s1, s2, trials, delta, noise_mean_photons=1e5, rng=987654321))
+        rms = math.sqrt(np.mean(wrap_angle(fits.phase_rad - ideal.phase_rad) ** 2))
+        assert rms == pytest.approx(closed, rel=0.05)
 
 
 class TestBatchedFringes:

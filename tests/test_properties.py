@@ -1,6 +1,8 @@
-"""Property tests of the phase-curve sweep, the waveplate solver and the CLI
-writers over the whole documented domain."""
+"""Property tests of the phase-curve sweep, the waveplate solver, the CLI
+writers and the CLI's exit codes over the whole documented domain."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -154,3 +156,73 @@ def test_fringe_writers_match_the_per_row_formulation(theta, chi, phi, steps, ph
         "fit": {"phase_rad": phase, "visibility": visibility},
     }
     assert cli.fringe_json(trace, fit, params) == json.dumps(doc, indent=2) + "\n"
+
+
+# Floats past the edges of the --phi domain, whose ends lie within +-3.6e7
+# degrees: non-finite, huge, and the next float past the bound.
+EDGES = [math.inf, -math.inf, math.nan, math.nextafter(3.6e7, math.inf), -1e15, 1e16, 1e300]
+any_float = st.one_of(st.floats(), st.sampled_from(EDGES))
+
+
+@st.composite
+def phi_specs(draw, starts=st.floats(-3.6e7, 3.6e7)):
+    start = draw(starts)
+    kind = draw(st.sampled_from(["span", "ulps", "edge"]))
+    if kind == "span":  # a span small enough to keep the rows few
+        stop = start + draw(st.one_of(st.floats(-1.0, 720.0), st.sampled_from([5e-324, 1e-300, 1e-9])))
+    elif kind == "ulps":  # a grid finer than the floats between its ends
+        stop = start
+        for _ in range(draw(st.integers(0, 4))):
+            stop = math.nextafter(stop, math.inf)
+    else:
+        stop = draw(st.sampled_from(EDGES))
+    count = draw(st.integers(3, 40))
+    return f"{start!r}:{stop!r}:{count}"
+
+
+@st.composite
+def cli_argv(draw):
+    """phase-curve or fringe argv, valid but for at most one field, which then
+    takes any value of its type (for --phi of phase-curve, a grid from any float)."""
+    if draw(st.booleans()):
+        command, fields = "phase-curve", {"theta": thetas, "chi": chis, "phi": phi_specs()}
+    else:
+        command, fields = "fringe", {
+            "theta": st.floats(0.0, 180.0, exclude_max=True), "chi": chis, "phi": chis,
+            "delta-steps": st.integers(10, 300), "noise-photons": st.none() | st.floats(1.0, 1e15),
+            "seed": st.integers(0, 2**64),
+        }
+    bad = {"delta-steps": st.integers(-10, 9) | st.just(10**6 + 1), "seed": st.integers(-(2**64), -1)}
+    if command == "phase-curve":
+        bad["phi"] = phi_specs(any_float)
+    spoilt = draw(st.sampled_from([None, *fields]))
+    argv = [command, f"--format={draw(st.sampled_from(['csv', 'json']))}"]
+    for name, valid in fields.items():
+        value = draw(bad.get(name, any_float) if name == spoilt else valid)
+        if value is not None:
+            argv.append(f"--{name}={value if isinstance(value, str) else repr(value)}")
+    return argv
+
+
+FIELDS = ("theta", "chi", "phi", "delta-steps", "noise-photons", "seed", "out")
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@PROPERTY
+@given(cli_argv())
+def test_cli_exit_codes_over_the_domain(out_dir, argv):
+    # An exception other than the documented ones escapes main as a traceback.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, f"--out={out_dir / 'out'}"])
+    message = err.getvalue()
+    if code == 0:
+        assert out.getvalue().count("\n") == 2 and not message, message
+    elif code == 2:  # a validation error names its field
+        assert message.startswith(tuple(f"error: {field}: " for field in FIELDS)), message
+    else:  # degenerate physics has no field to name
+        assert code == 3 and message.startswith("error: ") and message.count("\n") == 1, message
