@@ -41,6 +41,8 @@ class DegenerateTriangle(ValueError):
 
 def wrap_angle(x):
     """Wrap an angle (or array of angles) into (-pi, pi]."""
+    if isinstance(x, float):  # numpy's float64 too; Python's % rounds as np.mod does
+        return math.pi - (math.pi - float(x)) % (2.0 * math.pi)
     w = math.pi - np.mod(math.pi - np.asarray(x, dtype=float), 2.0 * math.pi)
     if np.ndim(x) == 0:
         return float(w)
@@ -60,7 +62,7 @@ class _Unit(tuple):
         n = 0.0
         for x in self:
             n += abs(x) ** 2
-        if abs(n - 1.0) > NORM_TOL:
+        if not abs(n - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"{cls._what} = {n}")
         return self
 
@@ -147,7 +149,7 @@ def three_vertex_phase(a, b, c):
     """
     product = inner(a, c) * inner(c, b) * inner(b, a)
     smallest = np.min(np.abs(product), initial=np.inf)
-    if smallest < PHASE_SINGULAR_TOL:
+    if not smallest >= PHASE_SINGULAR_TOL:  # NaN fails too
         raise UndefinedPhase(
             f"overlap product magnitude {smallest:.3e} is below "
             f"{PHASE_SINGULAR_TOL:.0e}; the phase is singular"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -192,6 +193,65 @@ def projection_chain_amplitude(arm_state, psi3, psi3_mirror):
     return complex(out) if np.ndim(out) == 0 else out
 
 
+class _Grid:
+    """What the fringe code derives from one valid delta grid: the phasor
+    e^(i delta) of the synthesis and the basis and Gram matrix of the fit,
+    each computed on first use.  A kept grid has the bytes of its samples
+    as ``key``."""
+
+    def __init__(self, delta, key=None):
+        self.delta, self.key = delta, key
+
+    @cached_property
+    def phasor(self):
+        return np.exp(1j * self.delta)
+
+    @cached_property
+    def fit(self):
+        """(basis, gram); ValueError for a grid that cannot determine the fit."""
+        delta = self.delta
+        if delta.size < 3:
+            raise ValueError("need at least 3 samples")
+        if float(delta[-1] - delta[0]) < MIN_FRINGE_SPAN_RAD:
+            raise ValueError("samples must span at least one fringe period")
+        basis = np.array([np.ones_like(delta), np.cos(delta), np.sin(delta)])
+        gram = basis @ basis.T
+        # det(gram) / n^3 lies in [0, 8/27] (1/4 for an even grid), near 0 when the
+        # samples sit at (nearly) two phases only and leave the fit undetermined
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram.tolist()
+        det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02) + g02 * (g01 * g12 - g11 * g02)
+        if not det > 1e-9 * delta.size**3:
+            raise ValueError("delta_rad samples are too clustered to determine the fringe")
+        return basis, gram
+
+
+# A scan fits many traces on one grid, so the set-up of the last grid is kept
+# under the bytes of its samples: a grid changed in place is a new grid.  Only
+# grids of at most _KEPT_SAMPLES samples are kept, about 0.2 MB with phasor
+# and basis.  The set-up's fixed cost of some 40 us matters next to the
+# per-trace work on a small grid, not on a large one, and a large kept grid
+# would hold its megabytes alive after its last fit.
+_KEPT_SAMPLES = 4096
+_kept = _Grid(None)  # replaced whole, so a reader never sees a key with another grid
+
+
+def _grid(delta: np.ndarray) -> _Grid:
+    """The set-up of a 1-d float64 grid; ValueError unless its samples are
+    finite and strictly increasing, and then nothing is derived from it."""
+    global _kept
+    kept, key = _kept, delta.tobytes() if delta.size <= _KEPT_SAMPLES else None
+    if key is not None and key == kept.key:
+        return kept
+    # NaN fails every comparison; an infinite end leaves the span non-finite
+    if delta.size and not ((delta[1:] > delta[:-1]).all() and math.isfinite(delta[-1] - delta[0])):
+        raise ValueError("delta_rad must be finite and strictly increasing")
+    if key is None:
+        return _Grid(delta)
+    # the key's own read-only bytes, which no caller can change later
+    _kept = _Grid(np.frombuffer(key), key)
+    return _kept
+
+
 @dataclass(frozen=True)
 class FringeTrace:
     """Sampled interference intensity versus the relative path phase delta.
@@ -209,9 +269,7 @@ class FringeTrace:
         inten = np.asarray(self.intensity, dtype=float)
         if delta.ndim != 1 or inten.shape[-1:] != delta.shape:
             raise ValueError("delta_rad must be 1-d and intensity of shape (..., len(delta_rad))")
-        # NaN fails every comparison; an infinite end leaves the span non-finite
-        if delta.size and not ((delta[1:] > delta[:-1]).all() and math.isfinite(delta[-1] - delta[0])):
-            raise ValueError("delta_rad must be finite and strictly increasing")
+        _grid(delta)
         if inten.size and not (inten.min() >= 0.0 and inten.max() < math.inf):
             raise ValueError("intensity must be finite and non-negative")
         object.__setattr__(self, "delta_rad", delta)
@@ -241,9 +299,13 @@ def fringe_trace(
     if not 0.0 < arm_ratio < math.inf:
         raise ValueError(f"arm_ratio must be finite and positive, got {arm_ratio}")
     delta = np.asarray(delta_rad, dtype=float)
+    if delta.ndim != 1:
+        raise ValueError("delta_rad must be 1-d")
     r = arm_ratio * projection_amplitude(arm_a, projector)
     q = projection_amplitude(arm_b, projector)
-    ideal = np.abs(np.asarray(r)[..., None] * np.exp(1j * delta) + np.asarray(q)[..., None]) ** 2
+    if not (isinstance(r, complex) and isinstance(q, complex)):  # a batch: one trace per element
+        r, q = np.asarray(r)[..., None], np.asarray(q)[..., None]
+    ideal = np.abs(r * _grid(delta).phasor + q) ** 2
     if noise_mean_photons is None:
         return FringeTrace(delta, ideal, None)
     if not 0.0 < noise_mean_photons <= MAX_NOISE_PHOTONS:
@@ -252,7 +314,7 @@ def fringe_trace(
         raise ValueError("Poisson noise requires an explicit rng seed or Generator")
     peak = (abs(r) + abs(q)) ** 2
     # a zero peak has an all-zero ideal trace, which is divided by 1 instead
-    lam = noise_mean_photons * ideal / np.asarray(peak + (peak == 0.0))[..., None]
+    lam = noise_mean_photons * ideal / (peak + (peak == 0.0))
     counts = np.random.default_rng(rng).poisson(lam)
     return FringeTrace(delta, counts.astype(float), float(noise_mean_photons))
 
@@ -272,25 +334,20 @@ def extract_fringe_phase(trace: FringeTrace) -> FringeFit:
     projector settings equal geometric-phase differences.  Raises
     ZeroVisibility if any trace falls below MIN_VISIBILITY.
     """
-    delta, inten = trace.delta_rad, trace.intensity
-    if delta.size < 3:
-        raise ValueError("need at least 3 samples")
-    if float(delta[-1] - delta[0]) < MIN_FRINGE_SPAN_RAD:
-        raise ValueError("samples must span at least one fringe period")
-    basis = np.array([np.ones_like(delta), np.cos(delta), np.sin(delta)])
-    gram = basis @ basis.T
-    # det(gram) / n^3 lies in [0, 8/27] (1/4 for an even grid), near 0 when the
-    # samples sit at (nearly) two phases only and leave the fit undetermined
-    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram.tolist()
-    det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02) + g02 * (g01 * g12 - g11 * g02)
-    if not det > 1e-9 * delta.size**3:
-        raise ValueError("delta_rad samples are too clustered to determine the fringe")
+    inten = trace.intensity
+    basis, gram = _grid(trace.delta_rad).fit
+    if inten.ndim == 1:  # numpy scalars: the same arithmetic without 0-d arrays
+        a, b, c = np.linalg.solve(gram, inten @ basis.T)
+        visibility = np.hypot(b, c) / (a if a > 0.0 else math.inf)  # 0 where A <= 0
+        if visibility < MIN_VISIBILITY:
+            raise ZeroVisibility(f"fitted visibility {visibility:.3e} below {MIN_VISIBILITY:.0e}")
+        return FringeFit(wrap_angle(np.arctan2(c, b)), float(visibility))
     rhs = (inten @ basis.T).reshape(-1, 3).T
     a, b, c = np.linalg.solve(gram, rhs).reshape((3,) + inten.shape[:-1])
     visibility = np.hypot(b, c) / np.where(a > 0.0, a, np.inf)  # 0 where A <= 0
     if (visibility < MIN_VISIBILITY).any():
         raise ZeroVisibility(f"fitted visibility {visibility.min():.3e} below {MIN_VISIBILITY:.0e}")
-    return FringeFit(wrap_angle(np.arctan2(c, b)), visibility if inten.ndim > 1 else float(visibility))
+    return FringeFit(wrap_angle(np.arctan2(c, b)), visibility)
 
 
 def phase_variation(
@@ -317,15 +374,15 @@ def phase_variation(
 
 def delta_from_path_difference(path_m, wavelength_m: float = DEFAULT_WAVELENGTH_M):
     """Relative phase delta = 2 pi x / lambda for a path difference x."""
-    if wavelength_m <= 0.0:
-        raise ValueError("wavelength must be positive")
+    if not 0.0 < wavelength_m < math.inf:
+        raise ValueError("wavelength must be finite and positive")
     out = TWO_PI * np.asarray(path_m, dtype=float) / wavelength_m
     return float(out) if np.ndim(out) == 0 else out
 
 
 def path_difference_from_delta(delta_rad, wavelength_m: float = DEFAULT_WAVELENGTH_M):
     """Inverse of delta_from_path_difference."""
-    if wavelength_m <= 0.0:
-        raise ValueError("wavelength must be positive")
+    if not 0.0 < wavelength_m < math.inf:
+        raise ValueError("wavelength must be finite and positive")
     out = np.asarray(delta_rad, dtype=float) * wavelength_m / TWO_PI
     return float(out) if np.ndim(out) == 0 else out

@@ -46,6 +46,11 @@ class TestStates:
             SymmetricState(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             BlochVector(1, 1, 0)
+        # NaN fails every comparison, so a norm of NaN must not pass as 1
+        for make, args in ((QubitState, (math.nan, 0)), (SymmetricState, (math.nan, 0, 0)),
+                           (BlochVector, (math.nan, 0, 0)), (QubitState.of, (math.inf, 1))):
+            with pytest.raises(ValueError):
+                make(*args)
 
     def test_of_normalizes(self):
         s = QubitState.of(3, 4j)
@@ -83,6 +88,14 @@ class _ThreeVertexLaws:
         for c in (self.state(*[1] * self.d), self.state(1, *[1j] * (self.d - 1))):
             with pytest.raises(UndefinedPhase):
                 three_vertex_phase(e0, e1, c)
+
+    def test_nan_state_raises(self):
+        nan = np.array([math.nan] + [0.0] * (self.d - 1))
+        with pytest.raises(UndefinedPhase):
+            three_vertex_phase(nan, nan, nan)
+        batch = np.stack([self.state(*[1] * self.d).vec, nan])
+        with pytest.raises(UndefinedPhase):
+            three_vertex_phase(batch, batch, batch)
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(self.gauge_seed)

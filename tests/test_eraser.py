@@ -3,11 +3,14 @@ fringes, phase extraction, noise statistics."""
 
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from triphase import eraser
 from triphase.core import (
     QubitState,
     SymmetricState,
@@ -472,6 +475,93 @@ class TestBatchedFringes:
             projection_chain_amplitude(arms, np.concatenate([psi3[:-1], R.vec[None]]), psi3m)
 
 
+class TestKeptGrid:
+    """The fit set-up of the last small grid is kept; no result depends on it."""
+
+    @staticmethod
+    def _fit_sequence():
+        rng = np.random.default_rng(63)
+        a = default_delta_grid(100)
+        b = np.concatenate([[0.0], np.sort(rng.uniform(0.2, 5.8, 62)), [TWO_PI - 0.1]])
+        fits = []
+
+        def fit(delta):
+            inten = 1e4 * (1.0 + 0.7 * np.cos(delta - 0.4)) + rng.normal(0.0, 30.0, delta.size)
+            fits.append(extract_fringe_phase(FringeTrace(delta, inten)))
+            fits.append(extract_fringe_phase(FringeTrace(delta, np.stack([inten, inten[::-1]]))))
+
+        for delta in (a, b, a, default_delta_grid(5000)):
+            fit(delta)
+        grid = b.copy()
+        FringeTrace(grid, np.ones(grid.size))  # checked, not yet fitted
+        grid[1:-1] += 0.01  # the same array, changed in place
+        fit(b)
+        fit(grid)
+        grid[1:-1] -= 0.02
+        fit(grid)
+        return [np.asarray(f, dtype=float).tobytes() for f in fits]
+
+    def test_fits_equal_fits_set_up_afresh(self, monkeypatch):
+        kept = self._fit_sequence()
+        monkeypatch.setattr(eraser, "_KEPT_SAMPLES", -1)  # keep no grid
+        assert kept == self._fit_sequence()
+
+    def test_invalid_grid_after_a_valid_one_is_rejected(self):
+        valid = np.array([0.0, 1.5, 3.0, 4.5, 6.0])
+        s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
+        unordered = "^delta_rad must be finite and strictly increasing$"
+        for bad in (valid[[0, 2, 1, 3, 4]], np.array([0.0, 1.5, 1.5, 4.5, 6.0]), np.append(valid[:4], np.nan)):
+            extract_fringe_phase(fringe_trace(s1, s2, s3, valid))
+            with pytest.raises(ValueError, match=unordered):
+                FringeTrace(bad, np.ones(5))
+            with pytest.raises(ValueError, match=unordered):
+                fringe_trace(s1, s2, s3, bad)
+        grid = valid.copy()
+        trace = FringeTrace(grid, 1.0 + np.cos(grid))
+        extract_fringe_phase(trace)
+        grid[2] = grid[1]  # changed in place after the trace was built
+        with pytest.raises(ValueError, match=unordered):
+            extract_fringe_phase(trace)
+        clustered = np.array([0.0, 1e-9, 2e-9, 5.9, 5.9 + 1e-9])
+        extract_fringe_phase(FringeTrace(valid, 1.0 + np.cos(valid)))
+        with pytest.raises(ValueError, match="^delta_rad samples are too clustered to determine the fringe$"):
+            extract_fringe_phase(FringeTrace(clustered, 1.0 + np.cos(clustered)))
+
+    def test_threads_on_different_grids_get_their_own_fits(self):
+        grids = [default_delta_grid(n) for n in (60, 100, 140)]
+        traces = [FringeTrace(d, 2.0 + np.cos(d - 0.3 * k)) for k, d in enumerate(grids)]
+        want = [extract_fringe_phase(t) for t in traces]
+        failures = []
+
+        def work(k):
+            try:
+                for i in range(k, k + 300):
+                    assert extract_fringe_phase(traces[i % 3]) == want[i % 3]
+            except Exception as exc:  # a wrong fit, or a basis of another grid's size
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not failures
+
+    def test_batch_of_one_matches_the_single_fit(self):
+        delta = default_delta_grid(100)
+        inten = np.random.default_rng(64).poisson(1e4 * (1.0 + 0.5 * np.cos(delta + 2.0))).astype(float)
+        one = extract_fringe_phase(FringeTrace(delta, inten))
+        batch = extract_fringe_phase(FringeTrace(delta, inten[None]))
+        assert isinstance(one.phase_rad, float) and batch.phase_rad.shape == batch.visibility.shape == (1,)
+        assert angdiff(batch.phase_rad[0], one.phase_rad) <= 1e-12
+        assert abs(batch.visibility[0] - one.visibility) <= 1e-12
+
+
 class TestPhaseVariation:
     def test_same_projector_zero(self):
         s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
@@ -531,5 +621,7 @@ class TestPathConversion:
 
     def test_custom_wavelength(self):
         assert delta_from_path_difference(782e-9, wavelength_m=782e-9) == pytest.approx(TWO_PI)
-        with pytest.raises(ValueError):
-            delta_from_path_difference(1.0, wavelength_m=0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            for convert in (delta_from_path_difference, path_difference_from_delta):
+                with pytest.raises(ValueError, match="^wavelength must be finite and positive$"):
+                    convert(1e-7, wavelength_m=bad)

@@ -1,4 +1,4 @@
-"""Property tests of the phase-curve sweep, the waveplate solver, the CLI
+"""Property tests of `wrap_angle`, the phase-curve sweep, the waveplate solver, the CLI
 writers and the CLI's exit codes over the whole documented domain."""
 
 import contextlib
@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from triphase import cli  # noqa: E402
-from triphase.core import QubitState  # noqa: E402
+from triphase.core import QubitState, wrap_angle  # noqa: E402
 from triphase.eraser import (  # noqa: E402
     FringeFit,
     Unreachable,
@@ -66,6 +66,32 @@ def test_mirror_law(theta, chi):
     expected = sorted((c + 180.0) % 360.0 for c in centers)
     for got, want in zip(mirror_centers, expected):
         assert min(abs(got - want), 360.0 - abs(got - want)) < 1e-9
+
+
+odd_pi = st.integers(-10**6, 10**6).map(lambda k: (2 * k + 1) * math.pi)
+
+
+@PROPERTY
+@given(st.one_of(st.floats(), odd_pi, st.floats(-1e4, 1e4)))
+@example(0.0)
+@example(-0.0)
+@example(math.pi)
+@example(-math.pi)
+@example(1e300)
+@example(-1e300)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_wrap_angle_of_a_float_matches_the_array_path(x):
+    with np.errstate(invalid="ignore"):  # np.mod of an infinity is NaN, with a warning
+        want = wrap_angle(np.array([x]))[0]
+    for scalar in (x, np.float64(x)):
+        got = wrap_angle(scalar)
+        assert type(got) is float
+        if math.isnan(want):  # NaN or an infinity in
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == want.tobytes()
 
 
 def _qubit(polar, azimuth):
