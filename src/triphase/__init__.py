@@ -15,9 +15,7 @@ from .core import (
     bloch_from_qubit,
     inner,
     majorana_decompose,
-    qubit_from_bloch,
-    random_qubit,
-    random_symmetric,
+    random_states,
     spherical_triangle_signed_area,
     symmetrize,
     three_vertex_phase,
@@ -30,7 +28,6 @@ from .eraser import (
     WaveplateSetting,
     WaveplateSolution,
     ZeroVisibility,
-    analyzer_hwp_settings,
     default_delta_grid,
     delta_from_path_difference,
     extract_fringe_phase,
@@ -49,12 +46,10 @@ from .triplet import (
     PhaseCurve,
     PhaseJump,
     TripletParams,
-    analytic_qubit_phase,
     analytic_total_phase,
     fit_offset,
     make_states,
     make_triplet,
-    phase_slope,
     sweep_phi,
     total_phase_continuous,
 )

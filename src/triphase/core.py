@@ -18,7 +18,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 
@@ -75,6 +74,11 @@ class _Unit(tuple):
     def _make(cls, parts):  # the named tuple's _make and _replace skip __new__
         return cls(*parts)
 
+    @classmethod
+    def _trusted(cls, parts):
+        """The wrapper of parts that the library has just made unit, unchecked."""
+        return tuple.__new__(cls, map(cls._kind, parts))
+
     @property
     def vec(self) -> np.ndarray:
         return np.array(self, dtype=self._kind)
@@ -125,6 +129,11 @@ def _unit(parts):
     return [x / n for x in parts]
 
 
+def normalize(v) -> np.ndarray:
+    """States of shape (..., d) over their norms; ValueError for a zero vector."""
+    return np.stack(_unit(_parts(v)), -1)
+
+
 def inner(a, b):
     """<a|b> with conjugation on the first argument, in any dimension."""
     a, b = _parts(a), _parts(b)
@@ -166,7 +175,7 @@ def symmetrize(p, q):
     (ph, pv), (qh, qv) = _parts(p), _parts(q)
     parts = _unit((2.0 * ph * qh, math.sqrt(2.0) * (ph * qv + pv * qh), 2.0 * pv * qv))
     if isinstance(p, _Unit) and isinstance(q, _Unit):
-        return SymmetricState(*parts)
+        return SymmetricState._trusted(parts)
     return np.stack(np.broadcast_arrays(*parts), -1)
 
 
@@ -196,7 +205,7 @@ def majorana_decompose(s):
     p = _unit((np.where(flat, b, p[0]), np.where(flat, c, p[1])))
     q = _unit((np.where(flat, 0.0, q[0]), np.where(flat, 1.0, q[1])))
     if isinstance(s, _Unit):
-        return QubitState(*p), QubitState(*q)
+        return QubitState._trusted(p), QubitState._trusted(q)
     return np.stack(p, -1), np.stack(q, -1)
 
 
@@ -205,14 +214,7 @@ def bloch_from_qubit(p):
     h, v = _parts(p)
     cross = h.conjugate() * v
     parts = (2.0 * cross.real, 2.0 * cross.imag, abs(h) ** 2 - abs(v) ** 2)
-    return BlochVector(*parts) if isinstance(p, _Unit) else np.stack(np.broadcast_arrays(*parts), -1)
-
-
-def qubit_from_bloch(v: BlochVector) -> QubitState:
-    """Inverse Bloch map (up to global phase)."""
-    half = 0.5 * math.acos(min(1.0, max(-1.0, v.z)))
-    azimuth = math.atan2(v.y, v.x)
-    return QubitState.of(math.cos(half), math.sin(half) * cmath.exp(1j * azimuth))
+    return BlochVector._trusted(parts) if isinstance(p, _Unit) else np.stack(np.broadcast_arrays(*parts), -1)
 
 
 def spherical_triangle_signed_area(v1, v2, v3):
@@ -232,18 +234,8 @@ def spherical_triangle_signed_area(v1, v2, v3):
     return float(omega) if np.ndim(omega) == 0 else omega
 
 
-def _haar(rng: np.random.Generator, shape: tuple, dim: int) -> np.ndarray:
+def random_states(rng: np.random.Generator, shape: tuple, dim: int) -> np.ndarray:
     """Haar-random states of shape (*shape, dim): normalized complex normal
     vectors, each drawn as its dim real parts, then its dim imaginary parts."""
     z = rng.normal(size=(*shape, 2, dim))
-    return np.stack(_unit(list(np.moveaxis(z[..., 0, :] + 1j * z[..., 1, :], -1, 0))), -1)
-
-
-def random_qubit(rng: np.random.Generator) -> QubitState:
-    """Haar-random qubit state."""
-    return QubitState(*_haar(rng, (), 2))
-
-
-def random_symmetric(rng: np.random.Generator) -> SymmetricState:
-    """Haar-random state of the symmetric subspace."""
-    return SymmetricState(*_haar(rng, (), 3))
+    return normalize(z[..., 0, :] + 1j * z[..., 1, :])

@@ -52,6 +52,8 @@ class WaveplateSetting:
     def __post_init__(self):
         if self.kind not in _RETARDANCE:
             raise ValueError(f"kind must be 'quarter' or 'half', got {self.kind!r}")
+        if not math.isfinite(self.angle_deg):
+            raise ValueError(f"angle_deg must be finite, got {self.angle_deg}")
         object.__setattr__(self, "angle_deg", float(self.angle_deg) % 180.0)
 
 
@@ -151,23 +153,6 @@ def _linear_angle_deg(state):
     return np.degrees(np.arctan2(u[..., 1].real, u[..., 0].real))
 
 
-def _analyzer_angles_deg(psi3, psi3_mirror):
-    """Fast-axis angles of the two analyzer half-wave plates; broadcasts."""
-    return _linear_angle_deg(psi3) / 2.0, (_linear_angle_deg(psi3_mirror) + 90.0) / 2.0
-
-
-def analyzer_hwp_settings(
-    psi3: QubitState, psi3_mirror: QubitState
-) -> tuple[WaveplateSetting, WaveplateSetting]:
-    """Half-wave plate settings of the analyzer chain.
-
-    The first plate rotates psi3 onto H (transmitted PBS port), the second
-    rotates psi3_mirror onto V (reflected port).  Only defined for linear
-    polarizations, which is what the standard-triplet family produces.
-    """
-    return tuple(WaveplateSetting("half", a) for a in _analyzer_angles_deg(psi3, psi3_mirror))
-
-
 # columns: |HH>, (|HV>+|VH>)/sqrt(2), |VV> in the product basis (|HH>, |HV>, |VH>, |VV>)
 _SYM_BASIS = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]) / np.array([1.0, math.sqrt(2.0), 1.0])
 _SYM_HV = _SYM_BASIS[:, 1]
@@ -176,15 +161,16 @@ _SYM_HV = _SYM_BASIS[:, 1]
 def projection_chain_amplitude(arm_state, psi3, psi3_mirror):
     """Amplitude through the composed analyzer chain, normalized to a unit bra.
 
-    Each photon passes the half-wave plates of analyzer_hwp_settings and the
-    polarizing splitter; the transmitted H port carries the psi3 component
-    and the reflected V port the psi3_mirror component; the up-conversion
+    Half-wave plates turn psi3 onto H, the transmitted port of the polarizing
+    splitter, and psi3_mirror onto V, the reflected port; the up-conversion
     crystal then projects onto the symmetric HV state.  Equals the direct
     projection onto symmetrize(psi3, psi3_mirror) up to one arm-independent
-    global phase.  States are wrappers or arrays that broadcast over their
-    leading axes; a batch gives an array.
+    global phase.  ValueError unless psi3 and psi3_mirror are linear, as the
+    standard triplet's are.  States are wrappers or arrays that broadcast
+    over their leading axes; a batch gives an array.
     """
-    hwp_h, hwp_v = np.radians(_analyzer_angles_deg(psi3, psi3_mirror))
+    hwp_h = np.radians(_linear_angle_deg(psi3) / 2.0)
+    hwp_v = np.radians((_linear_angle_deg(psi3_mirror) + 90.0) / 2.0)
     half = _RETARDANCE["half"]
     single = np.stack([_jones(half, hwp_h)[..., 0, :], _jones(half, hwp_v)[..., 1, :]], -2)  # H, V ports
     pair = np.einsum("...ij,...kl->...ikjl", single, single).reshape(single.shape[:-2] + (4, 4))

@@ -43,6 +43,14 @@ class TripletParams:
     def __post_init__(self):
         theta, chi, phi = self.theta_deg, self.chi_deg, self.phi_deg
         if isinstance(theta, np.ndarray) or isinstance(chi, np.ndarray) or isinstance(phi, np.ndarray):
+            for name, x in (("theta_deg", theta), ("chi_deg", chi), ("phi_deg", phi)):
+                if np.size(x) == 0:
+                    raise ValueError(f"{name} must not be empty")
+            try:
+                np.broadcast_shapes(np.shape(theta), np.shape(chi), np.shape(phi))
+            except ValueError:
+                shapes = ", ".join(str(np.shape(x)) for x in (theta, chi, phi))
+                raise ValueError(f"theta_deg, chi_deg, phi_deg: shapes {shapes} do not broadcast") from None
             # an array passes where its extremes pass (NaN stays NaN)
             theta, chi, phi = (np.min(x) if np.min(x) < 0.0 else np.max(x) for x in (theta, chi, phi))
         if not 0.0 <= theta < 180.0:
@@ -61,15 +69,15 @@ def make_states(p: TripletParams):
     (the mirror with the opposite V sign).  Arrays of shape (..., 2) for array params.
     """
     theta, chi, phi = p.theta_deg, p.chi_deg, p.phi_deg
-    m, state = math, QubitState
+    m, state = math, QubitState._trusted  # unit parts: cos and sin of finite angles
     if isinstance(theta, np.ndarray) or isinstance(chi, np.ndarray) or isinstance(phi, np.ndarray):
         theta, chi, phi = np.broadcast_arrays(theta, chi, phi)
-        m, state = np, lambda *parts: np.stack(parts, -1)
+        m, state = np, lambda parts: np.stack(parts, -1)
     th = m.radians(theta)
     c, s = m.cos(th / 2.0), m.sin(th / 2.0)
     a = m.radians(chi / 4.0 + phi / 2.0)
     b = m.radians(chi / 4.0 - phi / 2.0)
-    return state(c, 1j * s), state(c, -1j * s), state(m.cos(a), m.sin(a)), state(m.cos(b), -m.sin(b))
+    return state((c, 1j * s)), state((c, -1j * s)), state((m.cos(a), m.sin(a))), state((m.cos(b), -m.sin(b)))
 
 
 def make_triplet(p: TripletParams):

@@ -19,11 +19,11 @@ import numpy as np
 from . import figures
 from .core import (
     PHASE_SINGULAR_TOL,
-    _haar,
-    _unit,
     bloch_from_qubit,
     inner,
     majorana_decompose,
+    normalize,
+    random_states,
     spherical_triangle_signed_area,
     symmetrize,
     three_vertex_phase,
@@ -38,6 +38,7 @@ from .eraser import (
     projection_chain_amplitude,
 )
 from .triplet import (
+    TWO_PI,
     TripletParams,
     analytic_total_phase,
     fit_offset,
@@ -45,8 +46,6 @@ from .triplet import (
     make_triplet,
     sweep_phi,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ def criterion_area_phase() -> tuple[bool, str]:
     """1000 random qubit triples: wrap(gamma + Omega/2) = 0 within 1e-9."""
     rng = np.random.default_rng(20260810)
     triples, redraws = _first_passing(
-        lambda m: _haar(rng, (m, 3), 2),
+        lambda m: random_states(rng, (m, 3), 2),
         lambda t: np.abs(inner(t[:, 0], t[:, 2]) * inner(t[:, 2], t[:, 1]) * inner(t[:, 1], t[:, 0])) >= 1e-6,
         1000,
     )
@@ -240,14 +239,14 @@ def criterion_area_phase() -> tuple[bool, str]:
 def criterion_majorana_roundtrip() -> tuple[bool, str]:
     """1000 random symmetric states (100 near-degenerate): roundtrip fidelity >= 1 - 1e-9."""
     rng = np.random.default_rng(6021023)
-    states = _haar(rng, (900,), 3)
+    states = random_states(rng, (900,), 3)
     pairs = []
     for _ in range(100):  # a qubit, its distance, then its offset direction
-        p = _haar(rng, (), 2)
+        p = random_states(rng, (), 2)
         eps = 10.0 ** rng.uniform(-10.0, -4.0)
         pairs.append((p, p + eps * (rng.normal(size=2) + 1j * rng.normal(size=2))))
     p, q = np.moveaxis(pairs, 1, 0)
-    states = np.concatenate([states, symmetrize(p, np.stack(_unit(list(q.T)), -1))])
+    states = np.concatenate([states, symmetrize(p, normalize(q))])
     worst = float(np.min(np.abs(inner(symmetrize(*majorana_decompose(states)), states))))
     passed = worst >= 1.0 - 1e-9
     detail = f"min roundtrip fidelity={worst:.15f} over {len(states)} states"
@@ -261,7 +260,7 @@ def criterion_eraser_equivalence() -> tuple[bool, str]:
     rng = np.random.default_rng(31415926)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     sets, _ = _first_passing(
-        lambda m: _haar(rng, (m, 4), 3),
+        lambda m: random_states(rng, (m, 4), 3),
         lambda s: np.min([np.abs(inner(s[:, i], s[:, j])) for i, j in pairs], axis=0) >= 0.05,
         500,
     )
@@ -366,7 +365,6 @@ def criterion_figure_reproduction() -> tuple[bool, str]:
         "; " + "; ".join(problems) if problems else ""
     )
     return passed, detail
-
 
 
 def run_all() -> list[CriterionResult]:

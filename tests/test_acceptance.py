@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from triphase import verify
-from triphase.core import inner, random_symmetric
+from triphase.core import inner, random_states
 from triphase.eraser import default_delta_grid, fringe_trace
 from triphase.triplet import (
     TripletParams,
@@ -58,13 +58,13 @@ def test_batched_draws_match_per_draw_loops():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     rng = np.random.default_rng(31415926)
     want, want_rejected = loop(
-        lambda: [random_symmetric(rng).vec for _ in range(4)],
+        lambda: [random_states(rng, (), 3) for _ in range(4)],
         lambda s: min(abs(inner(s[i], s[j])) for i, j in pairs) >= 0.3,
         50,
     )
     rng = np.random.default_rng(31415926)
     got, rejected = verify._first_passing(
-        lambda m: verify._haar(rng, (m, 4), 3),
+        lambda m: random_states(rng, (m, 4), 3),
         lambda s: np.min([np.abs(inner(s[:, i], s[:, j])) for i, j in pairs], axis=0) >= 0.3,
         50,
     )

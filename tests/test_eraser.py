@@ -15,6 +15,7 @@ from triphase.core import (
     QubitState,
     SymmetricState,
     inner,
+    random_states,
     symmetrize,
     three_vertex_phase,
     wrap_angle,
@@ -24,7 +25,6 @@ from triphase.eraser import (
     Unreachable,
     WaveplateSetting,
     ZeroVisibility,
-    analyzer_hwp_settings,
     default_delta_grid,
     delta_from_path_difference,
     extract_fringe_phase,
@@ -75,6 +75,9 @@ class TestWaveplates:
     def test_setting_validation(self):
         with pytest.raises(ValueError):
             WaveplateSetting("third", 10.0)
+        for angle in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="angle_deg"):
+                WaveplateSetting("half", angle)
         assert WaveplateSetting("half", 200.0).angle_deg == pytest.approx(20.0)
 
     def test_hwp_at_zero(self):
@@ -208,17 +211,10 @@ class TestProjection:
 
 
 class TestProjectionChain:
-    def test_analyzer_settings_map_pair_to_h_and_v(self):
-        _, _, psi3, psi3m = make_states(TripletParams(10, 130, 40))
-        hwp_h, hwp_v = analyzer_hwp_settings(psi3, psi3m)
-        w_h = waveplate_matrix(hwp_h)
-        w_v = waveplate_matrix(hwp_v)
-        assert abs(np.vdot(H.vec, w_h @ psi3.vec)) == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.vdot(V.vec, w_v @ psi3m.vec)) == pytest.approx(1.0, abs=1e-12)
-
     def test_rejects_non_linear_states(self):
-        with pytest.raises(ValueError):
-            analyzer_hwp_settings(R, D)
+        arm = symmetrize(H, D)
+        with pytest.raises(ValueError, match="not a linear polarization"):
+            projection_chain_amplitude(arm, R, D)
 
     def test_chain_equals_direct_projection(self):
         rng = np.random.default_rng(40)
@@ -580,11 +576,9 @@ class TestPhaseVariation:
 
     def test_matches_direct_difference_random(self):
         rng = np.random.default_rng(50)
-        from triphase.core import random_symmetric
-
         for _ in range(100):
             while True:
-                states = [random_symmetric(rng) for _ in range(4)]
+                states = [SymmetricState(*random_states(rng, (), 3)) for _ in range(4)]
                 pairs = [
                     abs(inner(states[i], states[j]))
                     for i in range(4)

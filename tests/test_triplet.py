@@ -3,6 +3,7 @@ jump diagnostics, offset fitting."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,10 @@ class TestMakeStates:
             TripletParams(10, 360, 0)
         with pytest.raises(ValueError):
             TripletParams(10, 0, -5)
+        with pytest.raises(ValueError, match="theta_deg must not be empty"):
+            TripletParams(np.array([]), 0.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape("shapes (), (1, 2), (3,) do not broadcast")):
+            TripletParams(10.0, np.ones((1, 2)), np.ones(3))
 
 
 class TestMakeTriplet:
