@@ -48,6 +48,31 @@ from .triplet import (
 )
 
 
+class Measurement(NamedTuple):
+    """One measured worst value of a criterion against its bound.
+
+    An upper bound passes strictly below (``value < bound``); a lower bound
+    (``upper=False``, for counts) passes at or above.  Both comparisons are
+    false for NaN, so a NaN fails.  ``over`` is the sample count with its noun.
+    """
+
+    name: str
+    value: float
+    bound: float
+    over: str = ""
+    upper: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value < self.bound if self.upper else self.value >= self.bound)
+
+    def fragment(self) -> str:
+        """``name=value (< bound) over n things``, or ``k/n things name (>= bound)`` for a count."""
+        if self.upper:
+            return f"{self.name}={self.value:.3e} (< {self.bound:g})" + (self.over and f" over {self.over}")
+        return f"{self.value}{self.over and '/' + self.over} {self.name} (>= {self.bound:g})"
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     index: int
@@ -55,6 +80,7 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
+    measurements: tuple[Measurement, ...]
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -71,15 +97,25 @@ CRITERIA: list[CriterionSpec] = []
 
 
 def _criterion(index: int, name: str, seconds_limit: float = math.inf):
-    """Register a check returning (passed, detail) as criterion ``index``; the
-    registered run times the check, and fails it past ``seconds_limit``."""
+    """Register a check returning its Measurements as criterion ``index``.
+
+    The registered run times the check and passes it when every measurement
+    is within its bound and the check ends within ``seconds_limit``; a check
+    that raises fails, with the exception as its detail.
+    """
     def register(check):
         @functools.wraps(check)
         def run(*args, **kwargs) -> CriterionResult:
             t0 = time.perf_counter()
-            passed, detail = check(*args, **kwargs)
+            try:
+                measurements = tuple(check(*args, **kwargs))
+                passed = all(m.passed for m in measurements)
+                detail = "; ".join(m.fragment() for m in measurements)
+            except Exception as exc:
+                measurements, passed, detail = (), False, f"{type(exc).__name__}: {exc}"
             seconds = time.perf_counter() - t0
-            return CriterionResult(index, name, passed and seconds < seconds_limit, detail, seconds)
+            passed = passed and seconds < seconds_limit
+            return CriterionResult(index, name, passed, detail, seconds, measurements)
         CRITERIA.append(CriterionSpec(index, name, run))
         return run
     return register
@@ -113,7 +149,7 @@ def _first_passing(draw, passes, n: int):
 
 
 @_criterion(1, "oracle-equivalence", seconds_limit=5.0)
-def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> tuple[bool, str]:
+def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> list[Measurement]:
     """Analytic curve formulas against direct overlap-product arithmetic.
 
     Grid: theta in {2,10,20,45,90} x chi in {0,60,120,180} x phi step 1 deg,
@@ -129,13 +165,9 @@ def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> tuple[b
     ))
     s1, s2, s3 = make_triplet(TripletParams(theta, chi, phi))
     singular = np.abs(inner(s1, s3) * inner(s3, s2) * inner(s2, s1)) < PHASE_SINGULAR_TOL
-    n_singular = int(singular.sum())
-    n_bad_singular = int(np.sum(singular & (np.abs(inner(s2, s1)) >= 1e-12)))
     ok = ~singular
     direct = three_vertex_phase(s1[ok], s2[ok], s3[ok])
     diff = np.abs(wrap_angle(total_phase_fn(theta[ok], chi[ok], phi[ok]) - direct))
-    worst = float(np.max(diff, initial=0.0))
-    n_compared = int(ok.sum())
 
     # theta = 90 row: validate the analytic values in the limit.  The offset
     # keeps the anchor overlap above the UndefinedPhase guard while bounding
@@ -145,80 +177,52 @@ def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> tuple[b
         1.0, *np.meshgrid((0.0, 60.0, 120.0, 180.0), np.arange(3.0, 360.0, 7.0), indexing="ij")
     )
     lim = three_vertex_phase(*make_triplet(TripletParams(90.0 - eps, chi, phi)))
-    worst_limit = float(np.max(np.abs(wrap_angle(total_phase_fn(90.0, chi, phi) - lim))))
-
-    passed = worst < 1e-9 and n_bad_singular == 0 and n_singular > 0 and worst_limit < 1e-4
-    detail = (
-        f"max|diff|={worst:.3e} over {n_compared} samples; "
-        f"{n_singular} singular skips (theta=90 row only: {n_bad_singular == 0}); "
-        f"theta=90 limit err={worst_limit:.3e}"
-    )
-    return passed, detail
+    lim_err = np.abs(wrap_angle(total_phase_fn(90.0, chi, phi) - lim))
+    return [
+        Measurement("max|diff|", np.max(diff, initial=0.0), 1e-9, f"{diff.size} samples"),
+        Measurement("singular skips", int(singular.sum()), 1, upper=False),
+        # only the theta = 90 row, whose anchors are orthogonal, may be singular
+        Measurement("max|<s2|s1>| at the skips", np.max(np.abs(inner(s2, s1)[singular]), initial=0.0), 1e-12),
+        Measurement("theta=90 limit err", np.max(lim_err), 1e-4, f"{lim_err.size} samples"),
+    ]
 
 
 @_criterion(2, "jump-law")
-def criterion_jump_law() -> tuple[bool, str]:
-    """Jump centers at 180 +- chi/2 (0.1 deg), |rise| = 2pi (1e-6);
-    merged single |4pi| rise at 180 for chi = 0."""
+def criterion_jump_law() -> list[Measurement]:
+    """Jump centers at 180 +- chi/2 (0.1 deg), each rise -4pi over their count
+    (1e-6): two -2pi rises, merged into a single -4pi rise at 180 for chi = 0."""
     grid = np.linspace(0.0, 360.0, 721)
-    problems = []
-    worst_center = 0.0
-    worst_rise = 0.0
-    for chi in (60.0, 120.0, 180.0):
+    n_ok, center_err, rise_err, sum_err = 0, [], [], []
+    for chi in (0.0, 60.0, 120.0, 180.0):
         curve = sweep_phi(10.0, chi, grid)
-        expected = sorted([180.0 - chi / 2.0, 180.0 + chi / 2.0])
-        if len(curve.jumps) != 2:
-            problems.append(f"chi={chi:g}: {len(curve.jumps)} jumps")
-            continue
-        centers = sorted(j.phi_center_deg for j in curve.jumps)
-        for got, want in zip(centers, expected):
-            worst_center = max(worst_center, abs(got - want))
-        rises = [j.rise_rad for j in curve.jumps]
-        for r in rises:
-            worst_rise = max(worst_rise, abs(abs(r) - TWO_PI))
-        if len({math.copysign(1.0, r) for r in rises}) != 1:
-            problems.append(f"chi={chi:g}: mixed jump signs")
-        if abs(sum(rises) - curve.net_change_rad) > 1e-6:
-            problems.append(f"chi={chi:g}: rises do not add up to the net change")
-    curve0 = sweep_phi(10.0, 0.0, grid)
-    if len(curve0.jumps) != 1:
-        problems.append(f"chi=0: {len(curve0.jumps)} jumps (expected 1 merged)")
-    else:
-        jump = curve0.jumps[0]
-        worst_center = max(worst_center, abs(jump.phi_center_deg - 180.0))
-        worst_rise = max(worst_rise, abs(abs(jump.rise_rad) - 2.0 * TWO_PI))
-    passed = not problems and worst_center < 0.1 and worst_rise < 1e-6
-    detail = (
-        f"max center err={worst_center:.3e} deg, max |rise| err={worst_rise:.3e} rad"
-        + ("; " + "; ".join(problems) if problems else "")
-    )
-    return passed, detail
+        expected = sorted({180.0 - chi / 2.0, 180.0 + chi / 2.0})
+        rises = np.array([j.rise_rad for j in curve.jumps])
+        centers = np.sort([j.phi_center_deg for j in curve.jumps])
+        sum_err.append(abs(rises.sum() - curve.net_change_rad))
+        if len(rises) == len(expected):
+            n_ok += 1
+            center_err += list(np.abs(centers - expected))
+            rise_err += list(np.abs(rises + 2.0 * TWO_PI / len(rises)))
+    return [
+        Measurement("with the expected jump count", n_ok, 4, "4 curves", upper=False),
+        Measurement("max center err (deg)", np.max(center_err, initial=0.0), 0.1, f"{len(center_err)} jumps"),
+        Measurement("max rise err (rad)", np.max(rise_err, initial=0.0), 1e-6, f"{len(rise_err)} jumps"),
+        Measurement("max|sum of rises - net change| (rad)", np.max(sum_err), 1e-6, "4 curves"),
+    ]
 
 
 @_criterion(3, "steepening")
-def criterion_steepening() -> tuple[bool, str]:
+def criterion_steepening() -> list[Measurement]:
     """10-90% jump widths strictly decrease for theta 20 -> 10 -> 5 -> 2 at chi=120."""
     grid = np.linspace(0.0, 360.0, 721)
-    widths = []
-    ok = True
-    for theta in (20.0, 10.0, 5.0, 2.0):
-        curve = sweep_phi(theta, 120.0, grid)
-        if len(curve.jumps) != 2:
-            ok = False
-            break
-        widths.append([j.width_deg for j in curve.jumps])
-    if ok:
-        for j in range(2):
-            seq = [w[j] for w in widths]
-            ok = ok and all(b < a for a, b in zip(seq, seq[1:]))
-    detail = "widths(deg) per theta 20/10/5/2: " + (
-        "; ".join(",".join(f"{w:.4f}" for w in row) for row in widths) if widths else "n/a"
-    )
-    return ok, detail
+    curves = [sweep_phi(theta, 120.0, grid) for theta in (20.0, 10.0, 5.0, 2.0)]
+    widths = [[j.width_deg for j in c.jumps] if len(c.jumps) == 2 else [math.nan] * 2 for c in curves]
+    steps = np.diff(widths, axis=0)
+    return [Measurement("max jump-width change (deg)", np.max(steps), 0.0, f"{steps.size} theta steps")]
 
 
 @_criterion(4, "area-phase-law")
-def criterion_area_phase() -> tuple[bool, str]:
+def criterion_area_phase() -> list[Measurement]:
     """1000 random qubit triples: wrap(gamma + Omega/2) = 0 within 1e-9."""
     rng = np.random.default_rng(20260810)
     triples, redraws = _first_passing(
@@ -229,14 +233,13 @@ def criterion_area_phase() -> tuple[bool, str]:
     a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
     gamma = three_vertex_phase(a, b, c)
     omega = spherical_triangle_signed_area(bloch_from_qubit(a), bloch_from_qubit(b), bloch_from_qubit(c))
-    worst = float(np.max(np.abs(wrap_angle(gamma + omega / 2.0))))
-    passed = worst < 1e-9
-    detail = f"max|wrap(gamma + Omega/2)|={worst:.3e} over {len(triples)} triples ({redraws} redraws)"
-    return passed, detail
+    worst = np.max(np.abs(wrap_angle(gamma + omega / 2.0)))
+    over = f"{len(triples)} triples ({redraws} redraws)"
+    return [Measurement("max|wrap(gamma + Omega/2)|", worst, 1e-9, over)]
 
 
 @_criterion(5, "majorana-roundtrip")
-def criterion_majorana_roundtrip() -> tuple[bool, str]:
+def criterion_majorana_roundtrip() -> list[Measurement]:
     """1000 random symmetric states (100 near-degenerate): roundtrip fidelity >= 1 - 1e-9."""
     rng = np.random.default_rng(6021023)
     states = random_states(rng, (900,), 3)
@@ -247,14 +250,12 @@ def criterion_majorana_roundtrip() -> tuple[bool, str]:
         pairs.append((p, p + eps * (rng.normal(size=2) + 1j * rng.normal(size=2))))
     p, q = np.moveaxis(pairs, 1, 0)
     states = np.concatenate([states, symmetrize(p, normalize(q))])
-    worst = float(np.min(np.abs(inner(symmetrize(*majorana_decompose(states)), states))))
-    passed = worst >= 1.0 - 1e-9
-    detail = f"min roundtrip fidelity={worst:.15f} over {len(states)} states"
-    return passed, detail
+    worst = np.max(1.0 - np.abs(inner(symmetrize(*majorana_decompose(states)), states)))
+    return [Measurement("max roundtrip infidelity", worst, 1e-9, f"{len(states)} states")]
 
 
 @_criterion(6, "eraser-equivalence")
-def criterion_eraser_equivalence() -> tuple[bool, str]:
+def criterion_eraser_equivalence() -> list[Measurement]:
     """500 random state sets (pairwise overlaps >= 0.05): noiseless fringe-shift
     difference equals the direct three-vertex phase difference within 1e-9."""
     rng = np.random.default_rng(31415926)
@@ -267,14 +268,12 @@ def criterion_eraser_equivalence() -> tuple[bool, str]:
     s1, s2, p_a, p_b = (sets[:, k] for k in range(4))
     direct = wrap_angle(three_vertex_phase(s1, s2, p_b) - three_vertex_phase(s1, s2, p_a))
     shift = phase_variation(s1, s2, p_a, p_b)
-    worst = float(np.max(np.abs(wrap_angle(shift - direct))))
-    passed = worst < 1e-9
-    detail = f"max|shift - direct|={worst:.3e} over {len(sets)} state sets"
-    return passed, detail
+    worst = np.max(np.abs(wrap_angle(shift - direct)))
+    return [Measurement("max|shift - direct|", worst, 1e-9, f"{len(sets)} state sets")]
 
 
 @_criterion(7, "projection-chain")
-def criterion_projection_chain() -> tuple[bool, str]:
+def criterion_projection_chain() -> list[Measurement]:
     """Composed waveplate/PBS/up-conversion chain vs direct projection:
     200 random settings, |amplitude| and arm-amplitude ratios within 1e-12."""
     rng = np.random.default_rng(8086)
@@ -291,17 +290,16 @@ def criterion_projection_chain() -> tuple[bool, str]:
     (arm1, arm2, proj), (_, _, psi3, psi3m) = make_triplet(params), make_states(params)
     arms = np.stack([arm1, arm2])
     direct, chain = projection_amplitude(arms, proj), projection_chain_amplitude(arms, psi3, psi3m)
-    worst_mag = float(np.max(np.abs(np.abs(chain) - np.abs(direct))))
-    worst_ratio = float(np.max(np.abs(chain[0] / chain[1] - direct[0] / direct[1])))
-    passed = worst_mag < 1e-12 and worst_ratio < 1e-12
-    detail = (
-        f"max |amp| err={worst_mag:.3e}, max arm-ratio err={worst_ratio:.3e} over {len(settings)} settings"
-    )
-    return passed, detail
+    ratio_err = np.abs(chain[0] / chain[1] - direct[0] / direct[1])
+    over = f"{len(settings)} settings"
+    return [
+        Measurement("max |amp| err", np.max(np.abs(np.abs(chain) - np.abs(direct))), 1e-12, over),
+        Measurement("max arm-ratio err", np.max(ratio_err), 1e-12, over),
+    ]
 
 
 @_criterion(8, "noise-robustness", seconds_limit=30.0)
-def criterion_noise_robustness() -> tuple[bool, str]:
+def criterion_noise_robustness() -> list[Measurement]:
     """Poisson noise at 1e5 mean photons, 100 samples/trace, 1000 trials:
     phase error < 5 mrad in >= 99% of trials, and the 5 mrad bound is at least
     4 predicted sigma in every trial."""
@@ -318,17 +316,15 @@ def criterion_noise_robustness() -> tuple[bool, str]:
     n_ok = int(np.sum(np.abs(wrap_angle(fits.phase_rad - truth)) < 5e-3))
     # The delta-method sigma of a Poisson fit, sqrt(2 / sum(I)) / visibility,
     # in closed form on a uniform grid of n >= 4 samples over one full period.
-    sigma_pred = float(np.max(np.sqrt(2.0 / traces.intensity.sum(-1)) / fits.visibility))
-    passed = n_ok >= 990 and 5e-3 > 4.0 * sigma_pred
-    detail = (
-        f"{n_ok}/1000 trials under 5 mrad; predicted sigma={sigma_pred * 1e3:.3f} mrad "
-        f"(tolerance = {5e-3 / sigma_pred:.1f} sigma)"
-    )
-    return passed, detail
+    sigma_pred = np.max(np.sqrt(2.0 / traces.intensity.sum(-1)) / fits.visibility)
+    return [
+        Measurement("under 5 mrad", n_ok, 990, f"{len(fits.phase_rad)} trials", upper=False),
+        Measurement("max predicted sigma (rad)", sigma_pred, 5e-3 / 4.0, f"{len(fits.phase_rad)} trials"),
+    ]
 
 
 @_criterion(9, "offset-fitting")
-def criterion_offset_fitting() -> tuple[bool, str]:
+def criterion_offset_fitting() -> list[Measurement]:
     """Recover a 0.3 rad offset from 50 noisy points (sigma = 0.05) within
     3*sigma/sqrt(n) in >= 99% of 500 trials."""
     theory = sweep_phi(10.0, 120.0, np.linspace(0.0, 360.0, 721))
@@ -341,30 +337,22 @@ def criterion_offset_fitting() -> tuple[bool, str]:
     gammas = np.interp(phis, theory.phi_deg, theory.gamma_rad) + 0.3 + noise
     fit = fit_offset(np.stack([phis, gammas], -1), theory)
     hits = int(np.sum(np.abs(wrap_angle(fit.offset_rad - 0.3)) <= bound))
-    passed = hits >= 495
-    detail = f"{hits}/500 trials within {bound:.4f} rad of the injected offset"
-    return passed, detail
+    return [Measurement(f"within {bound:.4f} rad of the offset", hits, 495, "500 trials", upper=False)]
 
 
 @_criterion(10, "figure-reproduction")
-def criterion_figure_reproduction() -> tuple[bool, str]:
+def criterion_figure_reproduction() -> list[Measurement]:
     """All figure panels present; every curve changes by exactly 4pi in
     magnitude per 360 deg (1e-6) and stays continuous (steps < pi/2)."""
-    curves = figures.figure_curves()
-    problems = []
-    if len(curves) != len(figures.FIGURE_PANELS):
-        problems.append(f"{len(curves)} curves for {len(figures.FIGURE_PANELS)} panels")
-    for name, curve in curves:
-        net = curve.net_change_rad
-        if abs(abs(net) - 2.0 * TWO_PI) > 1e-6:
-            problems.append(f"{name}: |net|={abs(net):.9f}")
-        if float(np.max(np.abs(np.diff(curve.gamma_rad)))) >= math.pi / 2.0:
-            problems.append(f"{name}: discontinuous")
-    passed = not problems
-    detail = f"{len(curves)} panel curves, |net| = 4pi and continuity verified" + (
-        "; " + "; ".join(problems) if problems else ""
-    )
-    return passed, detail
+    curves = [curve for _, curve in figures.figure_curves()]
+    net_err = [abs(abs(c.net_change_rad) - 2.0 * TWO_PI) for c in curves]
+    steps = [np.max(np.abs(np.diff(c.gamma_rad))) for c in curves]
+    over = f"{len(curves)} curves"
+    return [
+        Measurement("panel curves", len(curves), len(figures.FIGURE_PANELS), upper=False),
+        Measurement("max||net| - 4pi| (rad)", np.max(net_err), 1e-6, over),
+        Measurement("max|step| (rad)", np.max(steps), math.pi / 2.0, over),
+    ]
 
 
 def run_all() -> list[CriterionResult]:

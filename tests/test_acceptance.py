@@ -4,13 +4,17 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 report; ``triphase verify`` prints the same lines.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from triphase import verify
+from triphase import figures, verify
 from triphase.core import inner, random_states
 from triphase.eraser import default_delta_grid, fringe_trace
 from triphase.triplet import (
+    PhaseJump,
     TripletParams,
     analytic_qubit_phase,
     analytic_total_phase,
@@ -125,3 +129,31 @@ def test_sign_flip_mutation_is_caught():
     for mutant in (flipped_total, flipped_first_term):
         result = verify.criterion_oracle_equivalence(total_phase_fn=mutant)
         assert not result.passed
+
+
+def test_pass_rule_at_the_bound_and_for_nan():
+    # an upper bound passes strictly below, a lower bound (a count) at or above
+    assert not verify.Measurement("err", 1e-9, 1e-9).passed
+    assert verify.Measurement("hits", 495, 495, upper=False).passed
+    for upper in (True, False):
+        assert not verify.Measurement("x", math.nan, 1.0, upper=upper).passed
+    assert verify.Measurement("err", 0.5, 1.0, "3 samples").fragment() == "err=5.000e-01 (< 1) over 3 samples"
+    assert verify.Measurement("within 0.02", 499, 495, "500 trials", upper=False).fragment() == (
+        "499/500 trials within 0.02 (>= 495)"
+    )
+
+
+def test_nan_curves_fail(monkeypatch):
+    # every jump and phase NaN, with the jump counts kept: the worst values are NaN
+    def nan_curve(curve):
+        nan_jumps = [PhaseJump(math.nan, math.nan, math.nan) for _ in curve.jumps]
+        return dataclasses.replace(curve, gamma_rad=np.full_like(curve.gamma_rad, math.nan), jumps=nan_jumps)
+
+    sweep, panels = verify.sweep_phi, figures.figure_curves
+    monkeypatch.setattr(verify, "sweep_phi", lambda *args: nan_curve(sweep(*args)))
+    monkeypatch.setattr(figures, "figure_curves", lambda: [(name, nan_curve(c)) for name, c in panels()])
+    for spec in verify.CRITERIA:
+        if spec.index in (2, 3, 10):
+            result = spec.run()
+            assert not result.passed, result.line()
+            assert "nan" in result.detail, result.line()

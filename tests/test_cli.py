@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import triphase
-from triphase import cli
+from triphase import cli, verify
+from triphase.core import UndefinedPhase
 from triphase.eraser import default_delta_grid, extract_fringe_phase, fringe_trace
 from triphase.triplet import TripletParams, make_triplet, sweep_phi
 
@@ -263,6 +264,64 @@ def test_output_bytes_are_pinned(argv, numbers, numbers_sha, csv_sha, json_sha, 
         assert _sha256((tmp_path / f"out.{fmt}").read_bytes()) == digest, fmt
 
 
+def _avx512_targets() -> str:
+    """The AVX-512 dispatch targets this numpy build can use on this machine.
+    Dispatch targets are never baseline features, which numpy refuses to disable."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(
+        t for t in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+        if t in umath.__cpu_dispatch__ and umath.__cpu_features__.get(t)
+    )
+
+
+def _leaves(doc, path=""):
+    """Every leaf of a JSON document by key path; the items of a list share its path."""
+    if isinstance(doc, dict):
+        items = [(f"{path}.{key}", value) for key, value in doc.items()]
+    elif isinstance(doc, list):
+        items = [(path, value) for value in doc]
+    else:
+        return {path: [doc]}
+    leaves = {}
+    for item_path, value in items:
+        for key, found in _leaves(value, item_path).items():
+            leaves.setdefault(key, []).extend(found)
+    return leaves
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-curve", "--theta", "10", "--chi", "120"],
+    ["fringe", "--theta", "10", "--chi", "120", "--phi", "30", "--noise-photons", "1e5", "--seed", "7"],
+], ids=["phase-curve", "fringe-noise"])
+def test_simd_dispatch_moves_numbers_by_ulps_only(argv, tmp_path):
+    # The pinned bytes above hold only on one dispatch path; every other path must
+    # still give the same rows, jumps and fit within a few ulp of each column's scale.
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("this numpy uses no AVX-512 dispatch target here")
+    env = dict(os.environ, PYTHONPATH=str(Path(triphase.__file__).resolve().parents[1]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    docs = []
+    for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": targets}):
+        out = tmp_path / f"out{len(docs)}.json"
+        argv_json = [sys.executable, "-m", "triphase", *argv, "--format", "json", "--out", str(out)]
+        proc = subprocess.run(argv_json, env={**env, **disabled}, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        docs.append(_leaves(json.loads(out.read_text())))
+    native, reduced = docs
+    assert native.keys() == reduced.keys()
+    for path, values in native.items():
+        assert len(reduced[path]) == len(values), path
+        if isinstance(values[0], str):
+            assert reduced[path] == values, path
+        else:
+            scale = np.max(np.abs(values))
+            assert np.max(np.abs(np.subtract(reduced[path], values))) <= 4 * np.spacing(scale), path
+
+
 def _strip_timing(report: str) -> str:
     return re.sub(r" \[[0-9.]+s\]", "", re.sub(r" in [0-9.]+s$", "", report, flags=re.M))
 
@@ -277,6 +336,19 @@ class TestVerify:
         code2, out2, _ = run(["verify"], tmp_path, monkeypatch, capsys)
         assert code2 == 0
         assert _strip_timing(out1) == _strip_timing(out2)
+
+    def test_raising_criterion_is_a_fail_line(self, tmp_path, monkeypatch, capsys):
+        def undefined(*args):
+            raise UndefinedPhase("overlap product is zero")
+
+        monkeypatch.setattr(verify, "three_vertex_phase", undefined)
+        code, out, _ = run(["verify"], tmp_path, monkeypatch, capsys)
+        assert code == 1
+        lines = [ln for ln in out.strip().splitlines() if ln and ln[0] in "PF"]
+        assert [int(ln.split()[1]) for ln in lines if ln.startswith("FAIL")] == [1, 4, 6]
+        assert len(lines) == 10
+        for ln in lines:
+            assert ln.startswith("PASS") or "UndefinedPhase: overlap product is zero" in ln, ln
 
 
 def _assert_phase_curve_help(argv, env=None):
