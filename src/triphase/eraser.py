@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -180,13 +180,16 @@ def projection_chain_amplitude(arm_state, psi3, psi3_mirror):
 
 
 class _Grid:
-    """What the fringe code derives from one valid delta grid: the phasor
+    """What the fringe code derives from one delta grid: the phasor
     e^(i delta) of the synthesis and the basis and Gram matrix of the fit,
-    each computed on first use.  A kept grid has the bytes of its samples
-    as ``key``."""
+    each computed on first use.  ValueError unless the 1-d float64 samples
+    are finite and strictly increasing."""
 
-    def __init__(self, delta, key=None):
-        self.delta, self.key = delta, key
+    def __init__(self, delta):
+        # NaN fails every comparison; an infinite end leaves the span non-finite
+        if delta.size and not ((delta[1:] > delta[:-1]).all() and math.isfinite(delta[-1] - delta[0])):
+            raise ValueError("delta_rad must be finite and strictly increasing")
+        self.delta = delta
 
     @cached_property
     def phasor(self):
@@ -204,9 +207,7 @@ class _Grid:
         gram = basis @ basis.T
         # det(gram) / n^3 lies in [0, 8/27] (1/4 for an even grid), near 0 when the
         # samples sit at (nearly) two phases only and leave the fit undetermined
-        (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram.tolist()
-        det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02) + g02 * (g01 * g12 - g11 * g02)
-        if not det > 1e-9 * delta.size**3:
+        if not np.linalg.det(gram) > 1e-9 * delta.size**3:
             raise ValueError("delta_rad samples are too clustered to determine the fringe")
         return basis, gram
 
@@ -214,28 +215,17 @@ class _Grid:
 # A scan fits many traces on one grid, so the set-up of the last grid is kept
 # under the bytes of its samples: a grid changed in place is a new grid.  Only
 # grids of at most _KEPT_SAMPLES samples are kept, about 0.2 MB with phasor
-# and basis.  The set-up's fixed cost of some 40 us matters next to the
+# and basis.  The set-up's fixed cost of some 25 us matters next to the
 # per-trace work on a small grid, not on a large one, and a large kept grid
 # would hold its megabytes alive after its last fit.
 _KEPT_SAMPLES = 4096
-_kept = _Grid(None)  # replaced whole, so a reader never sees a key with another grid
+# a kept grid reads its key's own read-only bytes, which no caller can change later
+_kept_grid = lru_cache(maxsize=1)(lambda key: _Grid(np.frombuffer(key)))
 
 
 def _grid(delta: np.ndarray) -> _Grid:
-    """The set-up of a 1-d float64 grid; ValueError unless its samples are
-    finite and strictly increasing, and then nothing is derived from it."""
-    global _kept
-    kept, key = _kept, delta.tobytes() if delta.size <= _KEPT_SAMPLES else None
-    if key is not None and key == kept.key:
-        return kept
-    # NaN fails every comparison; an infinite end leaves the span non-finite
-    if delta.size and not ((delta[1:] > delta[:-1]).all() and math.isfinite(delta[-1] - delta[0])):
-        raise ValueError("delta_rad must be finite and strictly increasing")
-    if key is None:
-        return _Grid(delta)
-    # the key's own read-only bytes, which no caller can change later
-    _kept = _Grid(np.frombuffer(key), key)
-    return _kept
+    """The set-up of a 1-d float64 grid, checked as _Grid checks it."""
+    return _kept_grid(delta.tobytes()) if delta.size <= _KEPT_SAMPLES else _Grid(delta)
 
 
 @dataclass(frozen=True)
@@ -318,20 +308,21 @@ def extract_fringe_phase(trace: FringeTrace) -> FringeFit:
     The phase atan2(C, B) locates the fringe maximum, so a trace synthesized
     as A (1 + v cos(delta - p)) returns p, and phase differences between
     projector settings equal geometric-phase differences.  Raises
-    ZeroVisibility if any trace falls below MIN_VISIBILITY.
+    ZeroVisibility if any trace falls below MIN_VISIBILITY or fits to NaN,
+    as an intensity set to NaN or inf after the trace was built does.
     """
     inten = trace.intensity
     basis, gram = _grid(trace.delta_rad).fit
     if inten.ndim == 1:  # numpy scalars: the same arithmetic without 0-d arrays
         a, b, c = np.linalg.solve(gram, inten @ basis.T)
         visibility = np.hypot(b, c) / (a if a > 0.0 else math.inf)  # 0 where A <= 0
-        if visibility < MIN_VISIBILITY:
+        if not visibility >= MIN_VISIBILITY:  # NaN too
             raise ZeroVisibility(f"fitted visibility {visibility:.3e} below {MIN_VISIBILITY:.0e}")
         return FringeFit(wrap_angle(np.arctan2(c, b)), float(visibility))
     rhs = (inten @ basis.T).reshape(-1, 3).T
     a, b, c = np.linalg.solve(gram, rhs).reshape((3,) + inten.shape[:-1])
     visibility = np.hypot(b, c) / np.where(a > 0.0, a, np.inf)  # 0 where A <= 0
-    if (visibility < MIN_VISIBILITY).any():
+    if not (visibility >= MIN_VISIBILITY).all():
         raise ZeroVisibility(f"fitted visibility {visibility.min():.3e} below {MIN_VISIBILITY:.0e}")
     return FringeFit(wrap_angle(np.arctan2(c, b)), visibility)
 

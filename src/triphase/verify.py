@@ -90,7 +90,7 @@ class CriterionResult:
 class CriterionSpec(NamedTuple):
     index: int
     name: str
-    run: Callable[..., CriterionResult]
+    run: Callable[[], CriterionResult]
 
 
 CRITERIA: list[CriterionSpec] = []
@@ -105,10 +105,10 @@ def _criterion(index: int, name: str, seconds_limit: float = math.inf):
     """
     def register(check):
         @functools.wraps(check)
-        def run(*args, **kwargs) -> CriterionResult:
+        def run() -> CriterionResult:
             t0 = time.perf_counter()
             try:
-                measurements = tuple(check(*args, **kwargs))
+                measurements = tuple(check())
                 passed = all(m.passed for m in measurements)
                 detail = "; ".join(m.fragment() for m in measurements)
             except Exception as exc:
@@ -149,7 +149,7 @@ def _first_passing(draw, passes, n: int):
 
 
 @_criterion(1, "oracle-equivalence", seconds_limit=5.0)
-def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> list[Measurement]:
+def criterion_oracle_equivalence() -> list[Measurement]:
     """Analytic curve formulas against direct overlap-product arithmetic.
 
     Grid: theta in {2,10,20,45,90} x chi in {0,60,120,180} x phi step 1 deg,
@@ -158,7 +158,6 @@ def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> list[Me
     (its UndefinedPhase guard fires); those samples are tallied, required to
     occur only there, and the theta = 90 analytic values are validated
     against the direct route just inside the singular point instead.
-    ``total_phase_fn`` broadcasts over arrays.
     """
     theta, chi, phi = _off_poles(0.5, *np.meshgrid(
         (2.0, 10.0, 20.0, 45.0, 90.0), (0.0, 60.0, 120.0, 180.0), np.arange(0.0, 360.0, 1.0), indexing="ij"
@@ -167,7 +166,7 @@ def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> list[Me
     singular = np.abs(inner(s1, s3) * inner(s3, s2) * inner(s2, s1)) < PHASE_SINGULAR_TOL
     ok = ~singular
     direct = three_vertex_phase(s1[ok], s2[ok], s3[ok])
-    diff = np.abs(wrap_angle(total_phase_fn(theta[ok], chi[ok], phi[ok]) - direct))
+    diff = np.abs(wrap_angle(analytic_total_phase(theta[ok], chi[ok], phi[ok]) - direct))
 
     # theta = 90 row: validate the analytic values in the limit.  The offset
     # keeps the anchor overlap above the UndefinedPhase guard while bounding
@@ -177,7 +176,7 @@ def criterion_oracle_equivalence(total_phase_fn=analytic_total_phase) -> list[Me
         1.0, *np.meshgrid((0.0, 60.0, 120.0, 180.0), np.arange(3.0, 360.0, 7.0), indexing="ij")
     )
     lim = three_vertex_phase(*make_triplet(TripletParams(90.0 - eps, chi, phi)))
-    lim_err = np.abs(wrap_angle(total_phase_fn(90.0, chi, phi) - lim))
+    lim_err = np.abs(wrap_angle(analytic_total_phase(90.0, chi, phi) - lim))
     return [
         Measurement("max|diff|", np.max(diff, initial=0.0), 1e-9, f"{diff.size} samples"),
         Measurement("singular skips", int(singular.sum()), 1, upper=False),

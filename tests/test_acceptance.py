@@ -116,7 +116,7 @@ def test_batched_draws_match_per_draw_loops():
     assert np.array_equal(fit_offset(np.stack([phis, gammas], -1), theory).offset_rad, want)
 
 
-def test_sign_flip_mutation_is_caught():
+def test_sign_flip_mutation_is_caught(monkeypatch):
     # a sign error in the analytic curve formulas must trip the oracle check
     def flipped_total(theta, chi, phi):
         return -analytic_total_phase(theta, chi, phi)
@@ -127,7 +127,8 @@ def test_sign_flip_mutation_is_caught():
         )
 
     for mutant in (flipped_total, flipped_first_term):
-        result = verify.criterion_oracle_equivalence(total_phase_fn=mutant)
+        monkeypatch.setattr(verify, "analytic_total_phase", mutant)
+        result = verify.criterion_oracle_equivalence()
         assert not result.passed
 
 

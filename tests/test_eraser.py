@@ -1,10 +1,12 @@
 """Eraser interferometer: waveplates, angle solving, projection chain,
 fringes, phase extraction, noise statistics."""
 
+import gc
 import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -327,6 +329,18 @@ class TestExtractFringePhase:
         with pytest.raises(ZeroVisibility):
             extract_fringe_phase(FringeTrace(delta, np.zeros_like(delta)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("shape", [(100,), (3, 100)])
+    def test_non_finite_intensity_written_later_raises(self, bad, shape):
+        # the trace checks its samples when it is built; a fit must not return NaN
+        delta = default_delta_grid(100)
+        trace = FringeTrace(delta, np.broadcast_to(2.0 + np.cos(delta), shape).copy())
+        trace.intensity[..., 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroVisibility, match="^fitted visibility nan below 1e-03$"):
+                extract_fringe_phase(trace)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             extract_fringe_phase(FringeTrace(np.array([0.0, 1.0]), np.array([1.0, 1.0])))
@@ -547,6 +561,19 @@ class TestKeptGrid:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not failures
+
+    def test_a_large_grid_is_let_go_after_its_fit(self):
+        delta = default_delta_grid(200_000)  # above _KEPT_SAMPLES
+        trace = FringeTrace(delta, 2.0 + np.cos(delta))
+        tracemalloc.start()
+        try:
+            extract_fringe_phase(trace)
+            del trace
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6  # kept, the grid's fit basis alone would hold 4.8 MB
 
     def test_batch_of_one_matches_the_single_fit(self):
         delta = default_delta_grid(100)
