@@ -215,9 +215,9 @@ class _Grid:
 # A scan fits many traces on one grid, so the set-up of the last grid is kept
 # under the bytes of its samples: a grid changed in place is a new grid.  Only
 # grids of at most _KEPT_SAMPLES samples are kept, about 0.2 MB with phasor
-# and basis.  The set-up's fixed cost of some 25 us matters next to the
-# per-trace work on a small grid, not on a large one, and a large kept grid
-# would hold its megabytes alive after its last fit.
+# and basis.  The set-up's fixed cost of some 30 us (100 samples) matters next
+# to the per-trace work on a small grid, not on a large one, and a large kept
+# grid would hold its megabytes alive after its last fit.
 _KEPT_SAMPLES = 4096
 # a kept grid reads its key's own read-only bytes, which no caller can change later
 _kept_grid = lru_cache(maxsize=1)(lambda key: _Grid(np.frombuffer(key)))
@@ -271,6 +271,7 @@ def fringe_trace(
     ideal maximum equals ``noise_mean_photons``; the rng (seed or numpy
     Generator) must then be supplied explicitly.  A batch is one draw in C
     order, the draws of a loop over its elements with the same generator.
+    ValueError for NaN or infinite states, or an intensity that would overflow.
     """
     if not 0.0 < arm_ratio < math.inf:
         raise ValueError(f"arm_ratio must be finite and positive, got {arm_ratio}")
@@ -279,8 +280,13 @@ def fringe_trace(
         raise ValueError("delta_rad must be 1-d")
     r = arm_ratio * projection_amplitude(arm_a, projector)
     q = projection_amplitude(arm_b, projector)
+    scale = abs(r) + abs(q)  # the root of the ideal maximum, which bounds every sample
+    finite = scale < 1e154  # NaN fails too; past 1e154 the square overflows
     if not (isinstance(r, complex) and isinstance(q, complex)):  # a batch: one trace per element
-        r, q = np.asarray(r)[..., None], np.asarray(q)[..., None]
+        r, q, scale, finite = np.asarray(r)[..., None], np.asarray(q)[..., None], scale[..., None], finite.all()
+    if not finite:
+        raise ValueError("arm_a, arm_b and projector must be finite, and arm_ratio times a projection below 1e154")
+    peak = scale**2
     ideal = np.abs(r * _grid(delta).phasor + q) ** 2
     if noise_mean_photons is None:
         return FringeTrace(delta, ideal, None)
@@ -288,7 +294,6 @@ def fringe_trace(
         raise ValueError(f"noise_mean_photons {noise_mean_photons} is not in (0, {MAX_NOISE_PHOTONS:g}]")
     if rng is None:
         raise ValueError("Poisson noise requires an explicit rng seed or Generator")
-    peak = (abs(r) + abs(q)) ** 2
     # a zero peak has an all-zero ideal trace, which is divided by 1 instead
     lam = noise_mean_photons * ideal / (peak + (peak == 0.0))
     counts = np.random.default_rng(rng).poisson(lam)

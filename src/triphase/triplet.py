@@ -86,6 +86,14 @@ def make_triplet(p: TripletParams):
     return symmetrize(psi1, psi1), symmetrize(psi2, psi2), symmetrize(psi3, psi3_mirror)
 
 
+def _qubit_phases(theta_deg, chi_deg, phi_deg):
+    """The unmirrored and mirrored qubit phases of analytic_qubit_phase, as numpy values."""
+    t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
+    quarter, half = np.asarray(chi_deg, dtype=float) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
+    unmirrored = -2.0 * np.arctan(t * np.tan(np.radians(quarter + half)))
+    return unmirrored, 2.0 * np.arctan(t * np.tan(np.radians(quarter - half)))
+
+
 def analytic_qubit_phase(theta_deg, chi_deg, phi_deg, mirrored: bool = False):
     """Closed-form three-vertex phase of (psi1, psi2, psi3 or mirror).
 
@@ -95,19 +103,16 @@ def analytic_qubit_phase(theta_deg, chi_deg, phi_deg, mirrored: bool = False):
     poles floating point lands on the left one-sided limit.  Broadcasts over
     array inputs.
     """
-    sign = 1.0 if mirrored else -1.0
-    t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
-    arg = np.radians(np.asarray(chi_deg, dtype=float) / 4.0 - sign * np.asarray(phi_deg, dtype=float) / 2.0)
-    out = 2.0 * sign * np.arctan(t * np.tan(arg))
+    out = _qubit_phases(theta_deg, chi_deg, phi_deg)[1 if mirrored else 0]
     return float(out) if np.ndim(out) == 0 else out
 
 
 def analytic_total_phase(theta_deg, chi_deg, phi_deg):
     """Qutrit three-vertex phase of the standard triplet: sum of the two
     qubit phases.  Principal-branch value in (-2pi, 2pi); broadcasts."""
-    return analytic_qubit_phase(theta_deg, chi_deg, phi_deg) + analytic_qubit_phase(
-        theta_deg, chi_deg, phi_deg, mirrored=True
-    )
+    unmirrored, mirrored = _qubit_phases(theta_deg, chi_deg, phi_deg)
+    out = unmirrored + mirrored
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def total_phase_continuous(theta_deg, chi_deg, phi_deg):
@@ -119,11 +124,10 @@ def total_phase_continuous(theta_deg, chi_deg, phi_deg):
     period changes the phase by exactly -4pi.  Broadcasts over phi.
     """
     base = analytic_total_phase(theta_deg, chi_deg, phi_deg)
-    th, ph = np.radians(theta_deg), np.radians(np.asarray(phi_deg, dtype=float))
-    z = np.cos(th) * np.cos(np.radians(chi_deg) / 2.0) + np.cos(ph) + 1j * np.sin(th) * np.sin(ph)
-    arg = np.angle(z)
-    arg = arg + TWO_PI * np.round((ph - arg) / TWO_PI)
-    out = base - TWO_PI * np.round((base + 2.0 * arg) / TWO_PI)
+    th, ph = np.radians(np.asarray(theta_deg, dtype=float)), np.radians(np.asarray(phi_deg, dtype=float))
+    arg = np.arctan2(np.sin(th) * np.sin(ph), np.cos(th) * np.cos(np.radians(chi_deg) / 2.0) + np.cos(ph))
+    arg = arg + TWO_PI * np.rint((ph - arg) / TWO_PI)
+    out = base - TWO_PI * np.rint((base + 2.0 * arg) / TWO_PI)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -133,8 +137,8 @@ def phase_slope(theta_deg, chi_deg, phi_deg):
     Strictly negative for 0 < theta < 180: the curve is monotone decreasing.
     """
     t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
-    a = np.radians(np.asarray(chi_deg, dtype=float) / 4.0 + np.asarray(phi_deg, dtype=float) / 2.0)
-    b = np.radians(np.asarray(chi_deg, dtype=float) / 4.0 - np.asarray(phi_deg, dtype=float) / 2.0)
+    quarter, half = np.asarray(chi_deg, dtype=float) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
+    a, b = np.radians(quarter + half), np.radians(quarter - half)
 
     def g(x):
         return t / (np.cos(x) ** 2 + (t * np.sin(x)) ** 2)
@@ -184,22 +188,23 @@ def _phi_at_level(theta_deg: float, chi_deg: float, level) -> np.ndarray:
     a, b = math.sin(th) * np.cos(psi), -np.sin(psi)
     # a sin(phi) + b cos(phi) = hypot(a, b) sin(phi + atan2(b, a))
     base = np.arcsin(np.clip(kappa * np.sin(psi) / np.hypot(a, b), -1.0, 1.0))
-    roots = np.stack([base, math.pi - base]) - np.arctan2(b, a)
+    roots = np.array([base, math.pi - base]) - np.arctan2(b, a)
     radius = (kappa + np.cos(roots)) * np.cos(psi) + math.sin(th) * np.sin(roots) * np.sin(psi)
     phi = np.where(radius[0] >= radius[1], roots[0], roots[1])
-    return np.degrees(phi + TWO_PI * np.round((psi - phi) / TWO_PI))
+    return np.degrees(phi + TWO_PI * np.rint((psi - phi) / TWO_PI))
 
 
-def _detect_jumps(theta_deg: float, chi_deg: float, lo: float, hi: float) -> list[PhaseJump]:
-    """Every strict local maximum of |slope| in the range, with its rise and width.
+def _jump_windows(theta_deg: float, chi_deg: float, lo: float, hi: float):
+    """The centers of the jumps in the range and the bounds of their windows.
 
-    |slope| = 2 sin(theta) (1 + kappa u) / |z|^2 (see _phi_at_level) depends
-    on phi only through u = cos(phi), and its u-derivative has the sign of
-    -q(u), q(u) = kappa c2 u^2 + 2 c2 u + kappa (1 + c2 - kappa^2) with
-    c2 = cos^2(theta).  q' = 2 c2 (1 + kappa u) > 0 on [-1, 1], so |slope|
-    peaks at phi = +-acos(u0), u0 being the root of q there, clipped to -1
-    (q(-1) >= 0) or 1 (q(1) <= 0): two jumps symmetric about 180 degrees, or
-    one merged jump at 0 or 180.
+    A jump is a strict local maximum of |slope| = 2 sin(theta) (1 + kappa u)
+    / |z|^2 (see _phi_at_level), which depends on phi only through
+    u = cos(phi); its u-derivative has the sign of -q(u), q(u) = kappa c2 u^2
+    + 2 c2 u + kappa (1 + c2 - kappa^2) with c2 = cos^2(theta).  q' = 2 c2
+    (1 + kappa u) > 0 on [-1, 1], so |slope| peaks at phi = +-acos(u0), u0
+    being the root of q there, clipped to -1 (q(-1) >= 0) or 1 (q(1) <= 0):
+    two jumps symmetric about 180 degrees, or one merged jump at 0 or 180.
+    Window k is [bounds[k], bounds[k + 1]]; a range without jumps gives [], [].
     """
     th = math.radians(theta_deg)
     c2 = math.cos(th) ** 2
@@ -212,9 +217,9 @@ def _detect_jumps(theta_deg: float, chi_deg: float, lo: float, hi: float) -> lis
     else:  # the root of smaller magnitude, in a cancellation-free form
         u0 = -c0 / (c2 + math.sqrt(c2 * (c2 - kappa * c0)))
     peak = math.degrees(math.acos(u0))
-    mag = -np.asarray(phase_slope(theta_deg, chi_deg, [peak, 0.0, 180.0]))
-    if mag[0] - mag[1:].min() < 0.05 * mag[0]:
-        return []  # slope is essentially uniform; no localized jumps
+    top, at_0, at_180 = (-phase_slope(theta_deg, chi_deg, [peak, 0.0, 180.0])).tolist()
+    if top - min(at_0, at_180) < 0.05 * top:
+        return [], []  # slope is essentially uniform; no localized jumps
 
     span = hi - lo
     periods = round(span / 360.0)
@@ -223,23 +228,18 @@ def _detect_jumps(theta_deg: float, chi_deg: float, lo: float, hi: float) -> lis
         # Each maximum once modulo the span.  The windows (midpoints to the
         # cyclic neighbours) reach past the range ends, where the continuous
         # branch is defined too, so every rise is a whole multiple of 2 pi.
-        centers = np.sort([lo + (p - lo) % 360.0 + 360.0 * k for p in peaks for k in range(periods)])
-        edges = np.concatenate([[centers[-1] - span], centers, [centers[0] + span]])
-        bounds = (edges[:-1] + edges[1:]) / 2.0
+        centers = sorted(lo + (p - lo) % 360.0 + 360.0 * k for p in peaks for k in range(periods))
+        edges = [centers[-1] - span, *centers, centers[0] + span]
+        bounds = [(a + b) / 2.0 for a, b in zip(edges, edges[1:])]
     else:
-        centers = np.sort([
+        centers = sorted(
             c
             for p in peaks
-            for c in p + 360.0 * np.arange(math.ceil((lo - p) / 360.0), math.floor((hi - p) / 360.0) + 1)
+            for c in (p + 360.0 * k for k in range(math.ceil((lo - p) / 360.0), math.floor((hi - p) / 360.0) + 1))
             if lo < c < hi
-        ])
-        bounds = np.concatenate([[lo], (centers[:-1] + centers[1:]) / 2.0, [hi]])
-    if not centers.size:
-        return []
-    gamma = np.asarray(total_phase_continuous(theta_deg, chi_deg, bounds))
-    rises = np.diff(gamma)
-    phi_10, phi_90 = _phi_at_level(theta_deg, chi_deg, gamma[:-1] + np.outer([0.1, 0.9], rises))
-    return [PhaseJump(float(c), float(r), float(w)) for c, r, w in zip(centers, rises, phi_90 - phi_10)]
+        )
+        bounds = [lo, *((a + b) / 2.0 for a, b in zip(centers, centers[1:])), hi]
+    return (centers, bounds) if centers else ([], [])
 
 
 def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
@@ -258,40 +258,44 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
     grid = np.asarray(phi_grid_deg, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("phi grid must be one-dimensional with at least 3 points")
-    if not np.all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise ValueError("phi grid must be finite")
-    if np.any(np.diff(grid) <= 0.0):
+    if (grid[1:] <= grid[:-1]).any():
         raise ValueError("phi grid must be strictly increasing")
 
+    # The jump windows need only the grid ends, which refined rows keep: one curve evaluation
+    # covers grid and window bounds, one _phi_at_level call refined and 10%/90% jump levels.
+    centers, bounds = _jump_windows(theta_deg, chi_deg, float(grid[0]), float(grid[-1]))
+    gamma = total_phase_continuous(theta_deg, chi_deg, np.concatenate([grid, bounds]))
+    gamma, ends = gamma[: grid.size], gamma[grid.size :]
+    rises = ends[1:] - ends[:-1]
     quarter = math.pi / 2.0
-    gamma = np.asarray(total_phase_continuous(theta_deg, chi_deg, grid))
-    steps = np.diff(gamma)
-    extra = []
-    for i in np.flatnonzero(np.abs(steps) >= quarter):
-        # an odd count: a step a rounding short of a multiple of 2 pi (from
-        # phi = 0 to a pole at a symmetry point of the curve, such as phi = 180
-        # at chi = 0) would otherwise split into steps of pi/2 up to rounding
-        parts = (int(abs(steps[i]) // quarter) + 1) | 1
-        phi = _phi_at_level(theta_deg, chi_deg, gamma[i] + steps[i] * np.arange(1, parts) / parts)
-        extra.append(np.clip(phi, grid[i], grid[i + 1]))
+    steps = gamma[1:] - gamma[:-1]
+    size = np.abs(steps)
+    wide = (size >= quarter).nonzero()[0]
+    # an odd count: a step a rounding short of a multiple of 2 pi (from
+    # phi = 0 to a pole at a symmetry point of the curve, such as phi = 180
+    # at chi = 0) would otherwise split into steps of pi/2 up to rounding
+    parts = ((size[wide] // quarter).astype(int) + 1) | 1
+    inside = parts - 1  # the levels k / parts of interval i, k = 1 .. parts - 1
+    i, n = wide.repeat(inside), parts.repeat(inside)
+    k = np.arange(1, i.size + 1) - (inside.cumsum() - inside).repeat(inside)
+    levels = np.concatenate([gamma[i] + steps[i] * k / n, ends[:-1] + 0.1 * rises, ends[:-1] + 0.9 * rises])
+    phi = _phi_at_level(theta_deg, chi_deg, levels)
     nodes = grid
-    if extra:
-        nodes = np.unique(np.concatenate([grid, *extra]))
-        gamma = np.asarray(total_phase_continuous(theta_deg, chi_deg, nodes))
-    worst = float(np.max(np.abs(np.diff(gamma))))
+    if wide.size:
+        nodes = np.unique(np.concatenate([grid, np.clip(phi[: i.size], grid[i], grid[i + 1])]))
+        gamma = total_phase_continuous(theta_deg, chi_deg, nodes)
+        size = np.abs(gamma[1:] - gamma[:-1])
+    worst = float(size.max())
     if not worst < quarter:
         raise GridTooCoarse(
             f"a step of {worst:.3e} rad remains after inserting level crossings; the curve "
             f"is too steep to resolve in floating point (theta_deg = {theta_deg})"
         )
-
-    return PhaseCurve(
-        theta_deg=theta_deg,
-        chi_deg=chi_deg,
-        phi_deg=nodes,
-        gamma_rad=gamma,
-        jumps=_detect_jumps(theta_deg, chi_deg, float(nodes[0]), float(nodes[-1])),
-    )
+    phi_10, phi_90 = phi[i.size :].reshape(2, -1)
+    jumps = [PhaseJump(c, float(r), float(w)) for c, r, w in zip(centers, rises, phi_90 - phi_10)]
+    return PhaseCurve(theta_deg=theta_deg, chi_deg=chi_deg, phi_deg=nodes, gamma_rad=gamma, jumps=jumps)
 
 
 class OffsetFit(NamedTuple):

@@ -289,6 +289,26 @@ class TestFringe:
                 with pytest.raises(ValueError, match="delta_rad"):
                     FringeTrace(d, np.ones(20))
 
+    @pytest.mark.parametrize("noise", [None, 1e3])
+    @pytest.mark.parametrize("which", ["arm_a", "arm_b", "projector"])
+    def test_non_finite_states_are_rejected_by_name(self, which, noise):
+        s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
+        for bad in (math.nan, math.inf):
+            for batch in (False, True):
+                states = dict(arm_a=s1.vec, arm_b=s2.vec, projector=s3.vec)
+                v = states[which].copy()
+                v[1] = bad
+                states[which] = np.stack([states[which], v]) if batch else v
+                with warnings.catch_warnings():
+                    # inf may first meet 0 in the inner product, which numpy warns of
+                    warnings.simplefilter("error" if math.isnan(bad) else "ignore", RuntimeWarning)
+                    with pytest.raises(ValueError, match="^arm_a, arm_b and projector must be finite"):
+                        fringe_trace(**states, delta_rad=default_delta_grid(), noise_mean_photons=noise, rng=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^arm_a, arm_b and projector must be finite, and arm_ratio"):
+                fringe_trace(s1, s2, s3, default_delta_grid(), noise_mean_photons=noise, rng=1, arm_ratio=1e160)
+
     def test_noise_requires_rng(self):
         s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
         with pytest.raises(ValueError):
@@ -536,6 +556,16 @@ class TestKeptGrid:
         extract_fringe_phase(FringeTrace(valid, 1.0 + np.cos(valid)))
         with pytest.raises(ValueError, match="^delta_rad samples are too clustered to determine the fringe$"):
             extract_fringe_phase(FringeTrace(clustered, 1.0 + np.cos(clustered)))
+
+    def test_grid_of_a_built_trace_changed_in_place_is_rejected(self):
+        s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
+        for noise in (None, 1e4):
+            grid = default_delta_grid(100)
+            trace = fringe_trace(s1, s2, s3, grid, noise_mean_photons=noise, rng=3)
+            extract_fringe_phase(trace)
+            grid[2] = grid[1]  # the trace's own grid, changed after the trace was built
+            with pytest.raises(ValueError, match="^delta_rad must be finite and strictly increasing$"):
+                extract_fringe_phase(trace)
 
     def test_threads_on_different_grids_get_their_own_fits(self):
         grids = [default_delta_grid(n) for n in (60, 100, 140)]

@@ -41,7 +41,7 @@ def test_sweep_over_the_domain(theta, chi, start, span, count):
     curve = sweep_phi(theta, chi, grid)
     phi, gamma = curve.phi_deg, curve.gamma_rad
     assert np.isin(grid, phi).all()
-    assert np.max(np.abs(gamma - total_phase_continuous(theta, chi, phi))) < 1e-9
+    assert np.array_equal(gamma, total_phase_continuous(theta, chi, phi))
     assert np.max(np.abs(np.diff(gamma))) < math.pi / 2
     periods = span / 360.0
     if periods == round(periods):

@@ -161,6 +161,16 @@ class TestAnalyticPhase:
                 b = analytic_total_phase(theta, chi, -float(phi))
                 assert angdiff(b, -a) < 1e-9
 
+    def test_float32_inputs_are_computed_in_float64(self):
+        # a float32 array equals its float64 copy exactly, so the results must too
+        theta, chi, phi = np.float32([2.5, 10.0, 44.75]), np.float32([0.0, 120.0, 60.5]), np.float32([30.25, 150.0, 300.5])
+        funcs = [analytic_total_phase, total_phase_continuous, phase_slope]
+        funcs += [lambda *a: analytic_qubit_phase(*a, mirrored=m) for m in (False, True)]
+        for f in funcs:
+            for args in [(theta, chi, phi), (theta, 120, phi), (10.0, chi, phi), (theta, chi, 60.0)]:
+                want = f(*(np.asarray(a, dtype=float) for a in args))
+                assert f(*args).tobytes() == want.tobytes()
+
 
 class TestContinuousBranch:
     def test_matches_principal_modulo_two_pi(self):
