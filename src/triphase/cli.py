@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import figures, verify
 from .core import inner
 from .eraser import (
     MAX_NOISE_PHOTONS,
@@ -230,6 +229,8 @@ def cmd_fringe(args) -> int:
 
 
 def cmd_reproduce_figures(args) -> int:
+    from . import figures  # imported here: the other commands need none of it
+
     out_dir = Path(args.out) if args.out else Path("figures")
     names = []
     for name, curve in figures.figure_curves():
@@ -242,6 +243,8 @@ def cmd_reproduce_figures(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # imported here: the other commands need none of it
+
     results = verify.run_all()
     for res in results:
         print(res.line())

@@ -173,10 +173,12 @@ def symmetrize(p, q):
     2(1 + |<p|q>|^2) >= 2.  Exactly symmetric in its arguments.
     """
     (ph, pv), (qh, qv) = _parts(p), _parts(q)
-    parts = _unit((2.0 * ph * qh, math.sqrt(2.0) * (ph * qv + pv * qh), 2.0 * pv * qv))
+    hh, sym, vv = 2.0 * ph * qh, math.sqrt(2.0) * (ph * qv + pv * qh), 2.0 * pv * qv
     if isinstance(p, _Unit) and isinstance(q, _Unit):
-        return SymmetricState._trusted(parts)
-    return np.stack(np.broadcast_arrays(*parts), -1)
+        # _unit's arithmetic on parts already complex, without its zero check: the norm is at least sqrt(2)
+        n = math.sqrt(abs(hh) ** 2 + abs(sym) ** 2 + abs(vv) ** 2)
+        return tuple.__new__(SymmetricState, (hh / n, sym / n, vv / n))
+    return np.stack(np.broadcast_arrays(*_unit((hh, sym, vv))), -1)
 
 
 def majorana_decompose(s):

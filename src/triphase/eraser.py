@@ -30,6 +30,7 @@ DEFAULT_WAVELENGTH_M = 391e-9
 MIN_FRINGE_SPAN_RAD = 0.9 * TWO_PI  # the samples of a fit span at least this much
 MIN_VISIBILITY = 1e-3  # a fringe fainter than this has no meaningful phase
 MAX_NOISE_PHOTONS = 1e15  # mean photons at the fringe maximum, well inside Poisson sampling
+_NON_FINITE = "arm_a, arm_b and projector must be finite, and arm_ratio times a projection below 1e154"
 
 _RETARDANCE = {"quarter": -1j, "half": -1.0 + 0j}
 
@@ -251,6 +252,14 @@ class FringeTrace:
         object.__setattr__(self, "delta_rad", delta)
         object.__setattr__(self, "intensity", inten)
 
+    @classmethod
+    def _trusted(cls, delta, intensity, mean_photons):
+        """The trace that fringe_trace has just made on the float64 grid it
+        checked, of finite and non-negative samples by construction, unchecked."""
+        self = object.__new__(cls)
+        vars(self).update(delta_rad=delta, intensity=intensity, mean_photons=mean_photons)
+        return self
+
 
 def default_delta_grid(n: int = 100) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, n, endpoint=False)
@@ -271,13 +280,18 @@ def fringe_trace(
     ideal maximum equals ``noise_mean_photons``; the rng (seed or numpy
     Generator) must then be supplied explicitly.  A batch is one draw in C
     order, the draws of a loop over its elements with the same generator.
-    ValueError for NaN or infinite states, or an intensity that would overflow.
+    ValueError for NaN or infinite states, or an intensity (or, with noise,
+    noise_mean_photons times the ideal maximum) that would overflow.
     """
     if not 0.0 < arm_ratio < math.inf:
         raise ValueError(f"arm_ratio must be finite and positive, got {arm_ratio}")
     delta = np.asarray(delta_rad, dtype=float)
     if delta.ndim != 1:
         raise ValueError("delta_rad must be 1-d")
+    # an array state is checked before inner, where inf times a zero amplitude
+    # would warn; a wrapper is finite by construction
+    if not all(isinstance(s, SymmetricState) or np.isfinite(s).all() for s in (arm_a, arm_b, projector)):
+        raise ValueError(_NON_FINITE)
     r = arm_ratio * projection_amplitude(arm_a, projector)
     q = projection_amplitude(arm_b, projector)
     scale = abs(r) + abs(q)  # the root of the ideal maximum, which bounds every sample
@@ -285,19 +299,24 @@ def fringe_trace(
     if not (isinstance(r, complex) and isinstance(q, complex)):  # a batch: one trace per element
         r, q, scale, finite = np.asarray(r)[..., None], np.asarray(q)[..., None], scale[..., None], finite.all()
     if not finite:
-        raise ValueError("arm_a, arm_b and projector must be finite, and arm_ratio times a projection below 1e154")
+        raise ValueError(_NON_FINITE)
     peak = scale**2
     ideal = np.abs(r * _grid(delta).phasor + q) ** 2
     if noise_mean_photons is None:
-        return FringeTrace(delta, ideal, None)
+        return FringeTrace._trusted(delta, ideal, None)
     if not 0.0 < noise_mean_photons <= MAX_NOISE_PHOTONS:
         raise ValueError(f"noise_mean_photons {noise_mean_photons} is not in (0, {MAX_NOISE_PHOTONS:g}]")
     if rng is None:
         raise ValueError("Poisson noise requires an explicit rng seed or Generator")
+    # noise_mean_photons * ideal below must not overflow; in Python floats an overflow is inf, not a warning
+    top = peak if isinstance(peak, float) else float(np.max(peak, initial=0.0))
+    if not math.isfinite(float(noise_mean_photons) * top):
+        raise ValueError(f"arm_ratio times a projection is too large for noise_mean_photons {noise_mean_photons:g}: "
+                         f"the ideal peak {top:.3e} times the photons overflows")
     # a zero peak has an all-zero ideal trace, which is divided by 1 instead
     lam = noise_mean_photons * ideal / (peak + (peak == 0.0))
     counts = np.random.default_rng(rng).poisson(lam)
-    return FringeTrace(delta, counts.astype(float), float(noise_mean_photons))
+    return FringeTrace._trusted(delta, counts.astype(float), float(noise_mean_photons))
 
 
 class FringeFit(NamedTuple):
@@ -318,8 +337,8 @@ def extract_fringe_phase(trace: FringeTrace) -> FringeFit:
     """
     inten = trace.intensity
     basis, gram = _grid(trace.delta_rad).fit
-    if inten.ndim == 1:  # numpy scalars: the same arithmetic without 0-d arrays
-        a, b, c = np.linalg.solve(gram, inten @ basis.T)
+    if inten.ndim == 1:  # Python floats in the same ufuncs: the same bits without 0-d arrays
+        a, b, c = np.linalg.solve(gram, inten @ basis.T).tolist()
         visibility = np.hypot(b, c) / (a if a > 0.0 else math.inf)  # 0 where A <= 0
         if not visibility >= MIN_VISIBILITY:  # NaN too
             raise ZeroVisibility(f"fitted visibility {visibility:.3e} below {MIN_VISIBILITY:.0e}")

@@ -322,6 +322,21 @@ def test_simd_dispatch_moves_numbers_by_ulps_only(argv, tmp_path):
             assert np.max(np.abs(np.subtract(reduced[path], values))) <= 4 * np.spacing(scale), path
 
 
+def test_curve_and_fringe_commands_import_neither_verify_nor_figures(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(triphase.__file__).resolve().parents[1]))
+    code = (
+        "import sys\n"
+        "from triphase import cli\n"
+        "assert cli.main(['phase-curve', '--theta', '10', '--chi', '120', '--out', 'c.csv']) == 0\n"
+        "assert cli.main(['fringe', '--theta', '10', '--chi', '120', '--phi', '30', '--out', 'f.csv']) == 0\n"
+        "print(sorted({'triphase.figures', 'triphase.verify'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def _strip_timing(report: str) -> str:
     return re.sub(r" \[[0-9.]+s\]", "", re.sub(r" in [0-9.]+s$", "", report, flags=re.M))
 

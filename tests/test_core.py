@@ -236,6 +236,21 @@ class TestSymmetrize:
             a, b = symmetrize(p, q), symmetrize(q, p)
             assert a.amp_hh == b.amp_hh and a.amp_sym == b.amp_sym and a.amp_vv == b.amp_vv
 
+    def test_wrappers_normalize_as_the_checked_constructor_does(self):
+        # The wrapper path normalizes inline and unchecked, to the bits SymmetricState.of
+        # gives for the same parts.  The array path's complex loops may round otherwise.
+        rng = np.random.default_rng(15)
+        pairs = [(H, H), (H, V), (D, QubitState.of(1, -1)), (R, QubitState.of(1, -1j))]
+        pairs += [(haar_qubit(rng), haar_qubit(rng)) for _ in range(300)]
+        arrays = symmetrize(np.array(pairs)[:, 0], np.array(pairs)[:, 1])
+        for k, (p, q) in enumerate(pairs):
+            (ph, pv), (qh, qv) = p, q
+            want = SymmetricState.of(2.0 * ph * qh, math.sqrt(2.0) * (ph * qv + pv * qh), 2.0 * pv * qv)
+            got = symmetrize(p, q)
+            assert type(got) is SymmetricState and all(type(x) is complex for x in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert np.allclose(got, arrays[k], rtol=0, atol=1e-15)
+
     def test_norm_bounded_below(self):
         # squared norm before normalization is 2(1 + |<p|q>|^2); antipodal
         # pairs still give a valid state

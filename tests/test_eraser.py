@@ -300,14 +300,25 @@ class TestFringe:
                 v[1] = bad
                 states[which] = np.stack([states[which], v]) if batch else v
                 with warnings.catch_warnings():
-                    # inf may first meet 0 in the inner product, which numpy warns of
-                    warnings.simplefilter("error" if math.isnan(bad) else "ignore", RuntimeWarning)
+                    warnings.simplefilter("error", RuntimeWarning)  # checked before any inner product
                     with pytest.raises(ValueError, match="^arm_a, arm_b and projector must be finite"):
                         fringe_trace(**states, delta_rad=default_delta_grid(), noise_mean_photons=noise, rng=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^arm_a, arm_b and projector must be finite, and arm_ratio"):
                 fringe_trace(s1, s2, s3, default_delta_grid(), noise_mean_photons=noise, rng=1, arm_ratio=1e160)
+
+    def test_noisy_overflow_is_rejected_by_name(self):
+        s1, s2, s3 = make_triplet(TripletParams(10, 120, 30))
+        delta = default_delta_grid(100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for states in ((s1, s2, s3), (np.stack([s1.vec, s2.vec]), s2.vec, s3.vec)):
+                # the ideal peak is some 1e294, below the 1e154 bound on its root
+                fringe_trace(*states, delta, arm_ratio=1e147)
+                fringe_trace(*states, delta, arm_ratio=1e147, noise_mean_photons=1e5, rng=1)
+                with pytest.raises(ValueError, match="^arm_ratio .* noise_mean_photons 1e[+]15: "):
+                    fringe_trace(*states, delta, arm_ratio=1e147, noise_mean_photons=1e15, rng=1)
 
     def test_noise_requires_rng(self):
         s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
@@ -326,6 +337,28 @@ class TestFringe:
             for bad in (0.0, -1.0, np.nan, np.inf):
                 with pytest.raises(ValueError, match="^arm_ratio"):
                     fringe_trace(s1, s2, s3, default_delta_grid(), arm_ratio=bad)
+
+    def test_built_traces_hold_what_the_checked_constructor_holds(self):
+        # fringe_trace builds its traces unchecked; FringeTrace would keep every field as it is
+        rng = np.random.default_rng(72)
+        for k in range(48):
+            theta, chi, phi = 2.0 + 43.0 * rng.random(), 360.0 * rng.random(), 360.0 * rng.random()
+            if k % 3 == 2:  # a batch of four settings
+                phi = (phi + 90.0 * np.arange(4)) % 360.0
+            delta = np.sort(rng.uniform(0.0, TWO_PI, int(rng.integers(3, 300))))
+            noise = 1e5 if k % 2 else None
+            trace = fringe_trace(*make_triplet(TripletParams(theta, chi, phi)), delta,
+                                 noise_mean_photons=noise, rng=k, arm_ratio=10.0 ** rng.uniform(-3.0, 3.0))
+            checked = FringeTrace(trace.delta_rad, trace.intensity, trace.mean_photons)
+            assert type(trace) is FringeTrace and trace.intensity.dtype == np.float64
+            assert checked.delta_rad is trace.delta_rad and checked.intensity is trace.intensity
+            assert checked.mean_photons == trace.mean_photons == (None if noise is None else float(noise))
+            # a trace a user builds from the same samples is still checked
+            for bad in (math.nan, -1.0):
+                inten = trace.intensity.copy()
+                inten[..., -1] = bad
+                with pytest.raises(ValueError, match="^intensity must be finite and non-negative$"):
+                    FringeTrace(trace.delta_rad, inten, trace.mean_photons)
 
     def test_same_seed_same_trace(self):
         s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
@@ -566,6 +599,16 @@ class TestKeptGrid:
             grid[2] = grid[1]  # the trace's own grid, changed after the trace was built
             with pytest.raises(ValueError, match="^delta_rad must be finite and strictly increasing$"):
                 extract_fringe_phase(trace)
+
+    def test_a_setting_looks_its_grid_up_twice(self):
+        # once to build the trace and once to fit it: the built trace is not checked again
+        s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
+        delta = default_delta_grid(100)
+        for noise in (1e5, None):
+            before = eraser._kept_grid.cache_info()
+            extract_fringe_phase(fringe_trace(s1, s2, s3, delta, noise_mean_photons=noise, rng=1))
+            after = eraser._kept_grid.cache_info()
+            assert after.hits + after.misses - before.hits - before.misses == 2
 
     def test_threads_on_different_grids_get_their_own_fits(self):
         grids = [default_delta_grid(n) for n in (60, 100, 140)]
