@@ -76,8 +76,9 @@ class _Unit(tuple):
 
     @classmethod
     def _trusted(cls, parts):
-        """The wrapper of parts that the library has just made unit, unchecked."""
-        return tuple.__new__(cls, map(cls._kind, parts))
+        """The wrapper of parts, already of type _kind, that the library has
+        just made unit, unchecked."""
+        return tuple.__new__(cls, parts)
 
     @property
     def vec(self) -> np.ndarray:
@@ -207,7 +208,7 @@ def majorana_decompose(s):
     p = _unit((np.where(flat, b, p[0]), np.where(flat, c, p[1])))
     q = _unit((np.where(flat, 0.0, q[0]), np.where(flat, 1.0, q[1])))
     if isinstance(s, _Unit):
-        return QubitState._trusted(p), QubitState._trusted(q)
+        return QubitState._trusted(map(complex, p)), QubitState._trusted(map(complex, q))
     return np.stack(p, -1), np.stack(q, -1)
 
 

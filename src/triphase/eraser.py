@@ -182,9 +182,9 @@ def projection_chain_amplitude(arm_state, psi3, psi3_mirror):
 
 class _Grid:
     """What the fringe code derives from one delta grid: the phasor
-    e^(i delta) of the synthesis and the basis and Gram matrix of the fit,
-    each computed on first use.  ValueError unless the 1-d float64 samples
-    are finite and strictly increasing."""
+    e^(i delta) of the synthesis and the fit operator, each computed on first
+    use.  ValueError unless the 1-d float64 samples are finite and strictly
+    increasing."""
 
     def __init__(self, delta):
         # NaN fails every comparison; an infinite end leaves the span non-finite
@@ -198,7 +198,10 @@ class _Grid:
 
     @cached_property
     def fit(self):
-        """(basis, gram); ValueError for a grid that cannot determine the fit."""
+        """The least-squares operator M = G^-1 B (3 x N) of the basis B = (1,
+        cos delta, sin delta) and its Gram matrix G = B B^T, which maps the
+        samples I of a trace to its coefficients M I; ValueError for a grid
+        that cannot determine the fit."""
         delta = self.delta
         if delta.size < 3:
             raise ValueError("need at least 3 samples")
@@ -210,14 +213,15 @@ class _Grid:
         # samples sit at (nearly) two phases only and leave the fit undetermined
         if not np.linalg.det(gram) > 1e-9 * delta.size**3:
             raise ValueError("delta_rad samples are too clustered to determine the fringe")
-        return basis, gram
+        return np.linalg.solve(gram, basis)
 
 
 # A scan fits many traces on one grid, so the set-up of the last grid is kept
 # under the bytes of its samples: a grid changed in place is a new grid.  Only
 # grids of at most _KEPT_SAMPLES samples are kept, about 0.2 MB with phasor
-# and basis.  The set-up's fixed cost of some 30 us (100 samples) matters next
-# to the per-trace work on a small grid, not on a large one, and a large kept
+# and fit operator.  The set-up's fixed cost of some 40 us (100 samples: the
+# checks, the phasor, the basis and one solve for the operator) matters next to
+# the per-trace work on a small grid, not on a large one, and a large kept
 # grid would hold its megabytes alive after its last fit.
 _KEPT_SAMPLES = 4096
 # a kept grid reads its key's own read-only bytes, which no caller can change later
@@ -326,8 +330,8 @@ class FringeFit(NamedTuple):
 
 def extract_fringe_phase(trace: FringeTrace) -> FringeFit:
     """Least-squares fit of I = A + B cos(delta) + C sin(delta), for one trace
-    (floats) or a batch (arrays): one solve of the normal equations, whose
-    matrix is the Gram matrix of the basis (1, cos delta, sin delta).
+    (floats) or a batch (arrays): one product of the samples with the grid's
+    kept operator G^-1 B (see _Grid.fit), solved once per grid.
 
     The phase atan2(C, B) locates the fringe maximum, so a trace synthesized
     as A (1 + v cos(delta - p)) returns p, and phase differences between
@@ -336,16 +340,16 @@ def extract_fringe_phase(trace: FringeTrace) -> FringeFit:
     as an intensity set to NaN or inf after the trace was built does.
     """
     inten = trace.intensity
-    basis, gram = _grid(trace.delta_rad).fit
-    if inten.ndim == 1:  # Python floats in the same ufuncs: the same bits without 0-d arrays
-        a, b, c = np.linalg.solve(gram, inten @ basis.T).tolist()
-        visibility = np.hypot(b, c) / (a if a > 0.0 else math.inf)  # 0 where A <= 0
+    op = _grid(trace.delta_rad).fit
+    if inten.ndim == 1:  # one trace on Python floats, in math rather than numpy's SIMD-dispatched ufuncs
+        a, b, c = (op @ inten).tolist()
+        visibility = math.hypot(b, c) / (a if a > 0.0 else math.inf)  # 0 where A <= 0
         if not visibility >= MIN_VISIBILITY:  # NaN too
             raise ZeroVisibility(f"fitted visibility {visibility:.3e} below {MIN_VISIBILITY:.0e}")
-        return FringeFit(wrap_angle(np.arctan2(c, b)), float(visibility))
-    rhs = (inten @ basis.T).reshape(-1, 3).T
-    a, b, c = np.linalg.solve(gram, rhs).reshape((3,) + inten.shape[:-1])
-    visibility = np.hypot(b, c) / np.where(a > 0.0, a, np.inf)  # 0 where A <= 0
+        return FringeFit(wrap_angle(math.atan2(c, b)), visibility)
+    with np.errstate(invalid="ignore"):  # an inf sample written in later fits to NaN, raised below
+        a, b, c = np.moveaxis(inten @ op.T, -1, 0)
+        visibility = np.hypot(b, c) / np.where(a > 0.0, a, np.inf)  # 0 where A <= 0
     if not (visibility >= MIN_VISIBILITY).all():
         raise ZeroVisibility(f"fitted visibility {visibility.min():.3e} below {MIN_VISIBILITY:.0e}")
     return FringeFit(wrap_angle(np.arctan2(c, b)), visibility)

@@ -69,15 +69,16 @@ def make_states(p: TripletParams):
     (the mirror with the opposite V sign).  Arrays of shape (..., 2) for array params.
     """
     theta, chi, phi = p.theta_deg, p.chi_deg, p.phi_deg
-    m, state = math, QubitState._trusted  # unit parts: cos and sin of finite angles
+    m, cx, state = math, complex, QubitState._trusted  # unit parts of finite angles, made complex once
     if isinstance(theta, np.ndarray) or isinstance(chi, np.ndarray) or isinstance(phi, np.ndarray):
         theta, chi, phi = np.broadcast_arrays(theta, chi, phi)
-        m, state = np, lambda parts: np.stack(parts, -1)
+        m, cx, state = np, np.asarray, lambda parts: np.stack(parts, -1)
     th = m.radians(theta)
-    c, s = m.cos(th / 2.0), m.sin(th / 2.0)
+    c, s = cx(m.cos(th / 2.0)), m.sin(th / 2.0)
     a = m.radians(chi / 4.0 + phi / 2.0)
     b = m.radians(chi / 4.0 - phi / 2.0)
-    return state((c, 1j * s)), state((c, -1j * s)), state((m.cos(a), m.sin(a))), state((m.cos(b), -m.sin(b)))
+    return (state((c, 1j * s)), state((c, -1j * s)),
+            state((cx(m.cos(a)), cx(m.sin(a)))), state((cx(m.cos(b)), cx(-m.sin(b)))))
 
 
 def make_triplet(p: TripletParams):

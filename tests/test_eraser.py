@@ -385,14 +385,21 @@ class TestExtractFringePhase:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("shape", [(100,), (3, 100)])
     def test_non_finite_intensity_written_later_raises(self, bad, shape):
-        # the trace checks its samples when it is built; a fit must not return NaN
-        delta = default_delta_grid(100)
-        trace = FringeTrace(delta, np.broadcast_to(2.0 + np.cos(delta), shape).copy())
-        trace.intensity[..., 7] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ZeroVisibility, match="^fitted visibility nan below 1e-03$"):
-                extract_fringe_phase(trace)
+        # the trace checks its samples when it is built; a fit must not return NaN.
+        # On the non-uniform grid the fit's weights of A take both signs, so an inf
+        # sample fits to A = -inf at some samples and +inf at others
+        uneven = np.concatenate([np.linspace(0.0, 1.5, 90, endpoint=False), np.linspace(1.5, 6.2, 10)])
+        basis = np.array([np.ones_like(uneven), np.cos(uneven), np.sin(uneven)])
+        weights = np.linalg.solve(basis @ basis.T, basis)[0]
+        assert weights.min() < 0.0 < weights.max()
+        for delta, samples in ((default_delta_grid(100), [7]), (uneven, range(uneven.size))):
+            for k in samples:
+                trace = FringeTrace(delta, np.broadcast_to(2.0 + np.cos(delta), shape).copy())
+                trace.intensity[..., k] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ZeroVisibility, match="^fitted visibility nan below 1e-03$"):
+                        extract_fringe_phase(trace)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -646,7 +653,38 @@ class TestKeptGrid:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < 1e6  # kept, the grid's fit basis alone would hold 4.8 MB
+        assert held < 1e6  # kept, the grid's fit operator alone would hold 4.8 MB
+
+    def test_kept_operator_fits_as_the_normal_equations_do(self):
+        # M = G^-1 B, solved once per grid, against one solve of the normal equations
+        # G x = B I per trace.  Both round differently; the phase error times the
+        # visibility and the visibility error grow with cond(G), which is 2 on a grid
+        # spread evenly over whole periods.  The bounds are about twice the largest
+        # errors over cond(G) / 2 seen here, 2.8 ulp(pi) and 8.5 ulp(1).
+        rng = np.random.default_rng(66)
+        grids = [
+            default_delta_grid(100),
+            default_delta_grid(37),
+            np.concatenate([[0.0], np.sort(rng.uniform(0.0, TWO_PI, 78)), [TWO_PI - 1e-3]]),
+            np.concatenate([np.linspace(0.0, 0.8, 50), np.linspace(5.66, 6.46, 50)]),  # two clusters
+        ]
+        n = 2000
+        for delta in grids:
+            basis = np.array([np.ones_like(delta), np.cos(delta), np.sin(delta)])
+            gram = basis @ basis.T
+            scale = np.linalg.cond(gram) / 2.0
+            peak = rng.uniform(-math.pi, math.pi, (n, 1))
+            photons, visibility = 10.0 ** rng.uniform(3.0, 6.0, (n, 1)), rng.uniform(0.05, 1.0, (n, 1))
+            inten = rng.poisson(photons * (1.0 + visibility * np.cos(delta - peak)) / 2.0).astype(float)
+            a, b, c = np.linalg.solve(gram, (inten @ basis.T).T)
+            oracle = np.arctan2(c, b), np.hypot(b, c) / a
+            assert oracle[1].min() > 1e-3  # every trace fits
+            single = np.array([extract_fringe_phase(FringeTrace(delta, i)) for i in inten]).T
+            batch = extract_fringe_phase(FringeTrace(delta, inten))
+            for (phase, vis), (ref_phase, ref_vis) in [(single, oracle), (batch, oracle), (batch, single)]:
+                phase_err = np.abs(wrap_angle(phase - ref_phase)) * ref_vis / math.ulp(math.pi)
+                assert phase_err.max() <= 5.0 * scale
+                assert np.abs(vis - ref_vis).max() / math.ulp(1.0) <= 17.0 * scale
 
     def test_batch_of_one_matches_the_single_fit(self):
         delta = default_delta_grid(100)

@@ -18,6 +18,7 @@ from triphase.core import (
     bloch_from_qubit,
     majorana_decompose,
     inner,
+    symmetrize,
     three_vertex_phase,
     wrap_angle,
 )
@@ -91,6 +92,28 @@ class TestMakeTriplet:
         s3 = make_triplet(p)[2]
         # expansion oracle: |D>|A> + |A>|D> = (|HH> - |VV>) normalized
         assert np.allclose(s3.vec, np.array([1, 0, -1]) / math.sqrt(2), atol=1e-15)
+
+    def test_wrappers_hold_the_bits_of_the_checked_route(self):
+        # make_states hands the trusted constructor parts already complex; the
+        # checked constructor, which converts every part, must hold the same bits
+        def checked_states(theta, chi, phi):
+            th = math.radians(theta)
+            c, s = math.cos(th / 2.0), math.sin(th / 2.0)
+            a, b = math.radians(chi / 4.0 + phi / 2.0), math.radians(chi / 4.0 - phi / 2.0)
+            return QubitState(c, 1j * s), QubitState(c, -1j * s), QubitState(math.cos(a), math.sin(a)), \
+                QubitState(math.cos(b), -math.sin(b))
+
+        rng = np.random.default_rng(22)
+        settings = rng.uniform(0.0, (180.0, 360.0, 360.0), size=(1000, 3)).tolist()
+        for theta, chi, phi in settings + [[0.0, -0.0, -0.0], [90.0, 0.0, 0.0], [10.0, 180.0, 0.0]]:
+            params = TripletParams(theta, chi, phi)
+            want = checked_states(theta, chi, phi)
+            got = make_states(params)
+            assert all(type(x) is complex for state in got for x in state)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            triplet = make_triplet(params)
+            want = [symmetrize(want[0], want[0]), symmetrize(want[1], want[1]), symmetrize(want[2], want[3])]
+            assert np.array(triplet).tobytes() == np.array(want).tobytes()
 
     def test_majorana_recovers_analyzer_pair(self):
         p = TripletParams(25, 130, 70)
