@@ -294,10 +294,10 @@ def fringe_trace(
         raise ValueError("delta_rad must be 1-d")
     # an array state is checked before inner, where inf times a zero amplitude
     # would warn; a wrapper is finite by construction
-    if not all(isinstance(s, SymmetricState) or np.isfinite(s).all() for s in (arm_a, arm_b, projector)):
-        raise ValueError(_NON_FINITE)
-    r = arm_ratio * projection_amplitude(arm_a, projector)
-    q = projection_amplitude(arm_b, projector)
+    for s in (arm_a, arm_b, projector):
+        if not (isinstance(s, SymmetricState) or np.isfinite(s).all()):
+            raise ValueError(_NON_FINITE)
+    r, q = arm_ratio * inner(projector, arm_a), inner(projector, arm_b)
     scale = abs(r) + abs(q)  # the root of the ideal maximum, which bounds every sample
     finite = scale < 1e154  # NaN fails too; past 1e154 the square overflows
     if not (isinstance(r, complex) and isinstance(q, complex)):  # a batch: one trace per element
@@ -305,7 +305,8 @@ def fringe_trace(
     if not finite:
         raise ValueError(_NON_FINITE)
     peak = scale**2
-    ideal = np.abs(r * _grid(delta).phasor + q) ** 2
+    ideal = np.abs(r * _grid(delta).phasor + q)
+    ideal *= ideal  # in place here and below, on this call's own array
     if noise_mean_photons is None:
         return FringeTrace._trusted(delta, ideal, None)
     if not 0.0 < noise_mean_photons <= MAX_NOISE_PHOTONS:
@@ -317,9 +318,10 @@ def fringe_trace(
     if not math.isfinite(float(noise_mean_photons) * top):
         raise ValueError(f"arm_ratio times a projection is too large for noise_mean_photons {noise_mean_photons:g}: "
                          f"the ideal peak {top:.3e} times the photons overflows")
-    # a zero peak has an all-zero ideal trace, which is divided by 1 instead
-    lam = noise_mean_photons * ideal / (peak + (peak == 0.0))
-    counts = np.random.default_rng(rng).poisson(lam)
+    # the Poisson mean; a zero peak has an all-zero ideal trace, which is divided by 1 instead
+    ideal *= noise_mean_photons
+    ideal /= peak + (peak == 0.0)
+    counts = np.random.default_rng(rng).poisson(ideal)
     return FringeTrace._trusted(delta, counts.astype(float), float(noise_mean_photons))
 
 
@@ -342,7 +344,10 @@ def extract_fringe_phase(trace: FringeTrace) -> FringeFit:
     inten = trace.intensity
     op = _grid(trace.delta_rad).fit
     if inten.ndim == 1:  # one trace on Python floats, in math rather than numpy's SIMD-dispatched ufuncs
-        a, b, c = (op @ inten).tolist()
+        try:
+            a, b, c = op.dot(inten).tolist()
+        except RuntimeWarning:  # inf - inf in the product, with warnings raised as errors
+            a = b = c = math.nan
         visibility = math.hypot(b, c) / (a if a > 0.0 else math.inf)  # 0 where A <= 0
         if not visibility >= MIN_VISIBILITY:  # NaN too
             raise ZeroVisibility(f"fitted visibility {visibility:.3e} below {MIN_VISIBILITY:.0e}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +62,12 @@ class TripletParams:
             raise ValueError(f"phi_deg must lie in [0, 360), got {phi}")
 
 
+def _analyzer_parts(chi, phi, m=math, cx=complex):
+    """The parts of psi3 and psi3_mirror (see make_states), in math or numpy."""
+    a, b = m.radians(chi / 4.0 + phi / 2.0), m.radians(chi / 4.0 - phi / 2.0)
+    return (cx(m.cos(a)), cx(m.sin(a))), (cx(m.cos(b)), cx(-m.sin(b)))
+
+
 def make_states(p: TripletParams):
     """The four constituent qubit states (psi1, psi2, psi3, psi3_mirror).
 
@@ -75,16 +82,24 @@ def make_states(p: TripletParams):
         m, cx, state = np, np.asarray, lambda parts: np.stack(parts, -1)
     th = m.radians(theta)
     c, s = cx(m.cos(th / 2.0)), m.sin(th / 2.0)
-    a = m.radians(chi / 4.0 + phi / 2.0)
-    b = m.radians(chi / 4.0 - phi / 2.0)
-    return (state((c, 1j * s)), state((c, -1j * s)),
-            state((cx(m.cos(a)), cx(m.sin(a)))), state((cx(m.cos(b)), cx(-m.sin(b)))))
+    return (state((c, 1j * s)), state((c, -1j * s)), *map(state, _analyzer_parts(chi, phi, m, cx)))
+
+
+@lru_cache(maxsize=1)
+def _anchor_pair(theta, sign):
+    """The anchor pair of a scalar theta; the sign keys -0.0 apart from 0.0, whose bits differ."""
+    psi1, psi2, _, _ = make_states(TripletParams(theta, 0.0, 0.0))
+    return symmetrize(psi1, psi1), symmetrize(psi2, psi2)
 
 
 def make_triplet(p: TripletParams):
-    """The standard triplet: two coincident-pair states and the symmetrized pair."""
-    psi1, psi2, psi3, psi3_mirror = make_states(p)
-    return symmetrize(psi1, psi1), symmetrize(psi2, psi2), symmetrize(psi3, psi3_mirror)
+    """The standard triplet: two coincident-pair states and the symmetrized pair.
+    The anchor pair of the last scalar theta is kept for the next; no result depends on this."""
+    if isinstance(p.theta_deg, np.ndarray) or isinstance(p.chi_deg, np.ndarray) or isinstance(p.phi_deg, np.ndarray):
+        psi1, psi2, psi3, psi3_mirror = make_states(p)
+        return symmetrize(psi1, psi1), symmetrize(psi2, psi2), symmetrize(psi3, psi3_mirror)
+    psi3, psi3_mirror = map(QubitState._trusted, _analyzer_parts(p.chi_deg, p.phi_deg))
+    return (*_anchor_pair(p.theta_deg, math.copysign(1.0, p.theta_deg)), symmetrize(psi3, psi3_mirror))
 
 
 def _qubit_phases(theta_deg, chi_deg, phi_deg):

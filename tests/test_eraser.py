@@ -382,17 +382,21 @@ class TestExtractFringePhase:
         with pytest.raises(ZeroVisibility):
             extract_fringe_phase(FringeTrace(delta, np.zeros_like(delta)))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("shape", [(100,), (3, 100)])
-    def test_non_finite_intensity_written_later_raises(self, bad, shape):
+    @pytest.mark.parametrize("shape, bad, pair", [
+        pytest.param(shape, bad, pair, id=f"shape{i}-{bad}" + ("-two-samples" if pair else ""))
+        for pair in (False, True) for i, shape in enumerate([(100,), (3, 100)]) for bad in (math.nan, math.inf)
+    ])
+    def test_non_finite_intensity_written_later_raises(self, shape, bad, pair):
         # the trace checks its samples when it is built; a fit must not return NaN.
         # On the non-uniform grid the fit's weights of A take both signs, so an inf
-        # sample fits to A = -inf at some samples and +inf at others
+        # sample fits to A = -inf at some samples and +inf at others, and inf written
+        # into two samples of either sign gives inf - inf inside the product
         uneven = np.concatenate([np.linspace(0.0, 1.5, 90, endpoint=False), np.linspace(1.5, 6.2, 10)])
         basis = np.array([np.ones_like(uneven), np.cos(uneven), np.sin(uneven)])
         weights = np.linalg.solve(basis @ basis.T, basis)[0]
-        assert weights.min() < 0.0 < weights.max()
-        for delta, samples in ((default_delta_grid(100), [7]), (uneven, range(uneven.size))):
+        assert weights.min() < 0.0 < weights.max() and weights[45] * weights[95] < 0.0
+        writes = [(uneven, [[45, 95]])] if pair else [(default_delta_grid(100), [7]), (uneven, range(uneven.size))]
+        for delta, samples in writes:
             for k in samples:
                 trace = FringeTrace(delta, np.broadcast_to(2.0 + np.cos(delta), shape).copy())
                 trace.intensity[..., k] = bad

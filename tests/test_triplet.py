@@ -115,6 +115,36 @@ class TestMakeTriplet:
             want = [symmetrize(want[0], want[0]), symmetrize(want[1], want[1]), symmetrize(want[2], want[3])]
             assert np.array(triplet).tobytes() == np.array(want).tobytes()
 
+    def test_kept_anchor_pair_holds_the_bits_of_make_states(self):
+        # scalar angles reuse the anchor pair of the last theta; over a sequence that
+        # keeps, revisits and changes theta, every triplet must hold the bits that
+        # symmetrize gives on make_states' four wrappers
+        rng = np.random.default_rng(23)
+        thetas = [0.0, -0.0, 0.0, 10, 10.0, np.float64(10.0), 10, -0.0, 90.0, 1e-300]
+        thetas += rng.choice(rng.uniform(0.0, 180.0, 12), 60).tolist()
+        for theta in thetas:
+            for chi, phi in rng.uniform(0.0, 360.0, (int(rng.integers(1, 5)), 2)).tolist() + [[60.0, 35.0]]:
+                params = TripletParams(theta, chi, phi)
+                psi1, psi2, psi3, psi3_mirror = make_states(params)
+                want = symmetrize(psi1, psi1), symmetrize(psi2, psi2), symmetrize(psi3, psi3_mirror)
+                got = make_triplet(params)
+                assert all(type(s) is type(w) and all(type(x) is complex for x in s) for s, w in zip(got, want))
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+        # the reason the sign is part of the key: 0.0 and -0.0 compare equal, their states do not
+        zero = make_triplet(TripletParams(0.0, 60.0, 35.0))
+        negative_zero = make_triplet(TripletParams(-0.0, 60.0, 35.0))
+        assert zero == negative_zero and np.array(zero).tobytes() != np.array(negative_zero).tobytes()
+
+    def test_a_scan_at_one_theta_builds_its_anchor_pair_once(self):
+        kept = triphase.triplet._anchor_pair
+        make_triplet(TripletParams(3.0, 0.0, 0.0))  # another theta kept before the scan
+        before = kept.cache_info()
+        for chi in (0.0, 60.0, 120.0, 180.0):
+            for phi in range(0, 360, 5):
+                make_triplet(TripletParams(17.25, chi, float(phi)))
+        after = kept.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 4 * 72 - 1)
+
     def test_majorana_recovers_analyzer_pair(self):
         p = TripletParams(25, 130, 70)
         _, _, psi3, psi3m = make_states(p)
