@@ -285,7 +285,8 @@ def fringe_trace(
     Generator) must then be supplied explicitly.  A batch is one draw in C
     order, the draws of a loop over its elements with the same generator.
     ValueError for NaN or infinite states, or an intensity (or, with noise,
-    noise_mean_photons times the ideal maximum) that would overflow.
+    noise_mean_photons times the ideal maximum) that would overflow.  A batch
+    allocates one complex field and one real intensity, the trace's own array.
     """
     if not 0.0 < arm_ratio < math.inf:
         raise ValueError(f"arm_ratio must be finite and positive, got {arm_ratio}")
@@ -301,11 +302,17 @@ def fringe_trace(
     scale = abs(r) + abs(q)  # the root of the ideal maximum, which bounds every sample
     finite = scale < 1e154  # NaN fails too; past 1e154 the square overflows
     if not (isinstance(r, complex) and isinstance(q, complex)):  # a batch: one trace per element
-        r, q, scale, finite = np.asarray(r)[..., None], np.asarray(q)[..., None], scale[..., None], finite.all()
+        r, q = (x[..., None] for x in np.broadcast_arrays(r, q))  # r * phasor then has the shape of the sum
+        scale, finite = scale[..., None], finite.all()
     if not finite:
         raise ValueError(_NON_FINITE)
     peak = scale**2
-    ideal = np.abs(r * _grid(delta).phasor + q)
+    # one complex field, then one real intensity reused in place: two complex
+    # temporaries alive at once would be handed back to the system after each
+    # batch and faulted in again by the next
+    ideal = r * _grid(delta).phasor
+    ideal += q
+    ideal = np.abs(ideal)  # rebinding the name releases the field
     ideal *= ideal  # in place here and below, on this call's own array
     if noise_mean_photons is None:
         return FringeTrace._trusted(delta, ideal, None)
@@ -321,8 +328,8 @@ def fringe_trace(
     # the Poisson mean; a zero peak has an all-zero ideal trace, which is divided by 1 instead
     ideal *= noise_mean_photons
     ideal /= peak + (peak == 0.0)
-    counts = np.random.default_rng(rng).poisson(ideal)
-    return FringeTrace._trusted(delta, counts.astype(float), float(noise_mean_photons))
+    ideal[...] = np.random.default_rng(rng).poisson(ideal)  # the counts, cast as astype(float) casts
+    return FringeTrace._trusted(delta, ideal, float(noise_mean_photons))
 
 
 class FringeFit(NamedTuple):

@@ -62,6 +62,13 @@ class TripletParams:
             raise ValueError(f"phi_deg must lie in [0, 360), got {phi}")
 
 
+def _anchor_parts(theta, m=math, cx=complex):
+    """The parts of psi1 and psi2 (see make_states), in math or numpy."""
+    th = m.radians(theta)
+    c, s = cx(m.cos(th / 2.0)), m.sin(th / 2.0)
+    return (c, 1j * s), (c, -1j * s)
+
+
 def _analyzer_parts(chi, phi, m=math, cx=complex):
     """The parts of psi3 and psi3_mirror (see make_states), in math or numpy."""
     a, b = m.radians(chi / 4.0 + phi / 2.0), m.radians(chi / 4.0 - phi / 2.0)
@@ -80,15 +87,13 @@ def make_states(p: TripletParams):
     if isinstance(theta, np.ndarray) or isinstance(chi, np.ndarray) or isinstance(phi, np.ndarray):
         theta, chi, phi = np.broadcast_arrays(theta, chi, phi)
         m, cx, state = np, np.asarray, lambda parts: np.stack(parts, -1)
-    th = m.radians(theta)
-    c, s = cx(m.cos(th / 2.0)), m.sin(th / 2.0)
-    return (state((c, 1j * s)), state((c, -1j * s)), *map(state, _analyzer_parts(chi, phi, m, cx)))
+    return tuple(map(state, (*_anchor_parts(theta, m, cx), *_analyzer_parts(chi, phi, m, cx))))
 
 
 @lru_cache(maxsize=1)
 def _anchor_pair(theta, sign):
     """The anchor pair of a scalar theta; the sign keys -0.0 apart from 0.0, whose bits differ."""
-    psi1, psi2, _, _ = make_states(TripletParams(theta, 0.0, 0.0))
+    psi1, psi2 = map(QubitState._trusted, _anchor_parts(theta))
     return symmetrize(psi1, psi1), symmetrize(psi2, psi2)
 
 

@@ -237,18 +237,24 @@ def criterion_area_phase() -> list[Measurement]:
     return [Measurement("max|wrap(gamma + Omega/2)|", worst, 1e-9, over)]
 
 
+def _majorana_states(rng: np.random.Generator) -> np.ndarray:
+    """Criterion 5's 1000 symmetric states: 900 Haar-random, then 100
+    near-degenerate pairs symmetrized.  A pair draws a qubit as random_states
+    does, its distance 10^u, then its offset direction, in turn; the draws go
+    into arrays, and each side of the pairs is normalized once."""
+    states = random_states(rng, (900,), 3)
+    z, offset, eps = np.empty((100, 2, 2)), np.empty((100, 2, 2)), np.empty((100, 1))
+    for k in range(100):  # each (2, 2) draw: the real parts of a vector, then its imaginary parts
+        z[k], eps[k], offset[k] = rng.normal(size=(2, 2)), 10.0 ** rng.uniform(-10.0, -4.0), rng.normal(size=(2, 2))
+    p = normalize(z[:, 0] + 1j * z[:, 1])
+    q = normalize(p + eps * (offset[:, 0] + 1j * offset[:, 1]))
+    return np.concatenate([states, symmetrize(p, q)])
+
+
 @_criterion(5, "majorana-roundtrip")
 def criterion_majorana_roundtrip() -> list[Measurement]:
     """1000 random symmetric states (100 near-degenerate): roundtrip fidelity >= 1 - 1e-9."""
-    rng = np.random.default_rng(6021023)
-    states = random_states(rng, (900,), 3)
-    pairs = []
-    for _ in range(100):  # a qubit, its distance, then its offset direction
-        p = random_states(rng, (), 2)
-        eps = 10.0 ** rng.uniform(-10.0, -4.0)
-        pairs.append((p, p + eps * (rng.normal(size=2) + 1j * rng.normal(size=2))))
-    p, q = np.moveaxis(pairs, 1, 0)
-    states = np.concatenate([states, symmetrize(p, normalize(q))])
+    states = _majorana_states(np.random.default_rng(6021023))
     worst = np.max(1.0 - np.abs(inner(symmetrize(*majorana_decompose(states)), states)))
     return [Measurement("max roundtrip infidelity", worst, 1e-9, f"{len(states)} states")]
 

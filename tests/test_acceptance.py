@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from triphase import figures, verify
-from triphase.core import inner, random_states
+from triphase.core import inner, normalize, random_states, symmetrize
 from triphase.eraser import default_delta_grid, fringe_trace
 from triphase.triplet import (
     PhaseJump,
@@ -47,7 +47,7 @@ def test_criterion(spec):
 
 
 def test_batched_draws_match_per_draw_loops():
-    # the rejection loops of criteria 4, 6 and 7 and the trials of criteria 8
+    # the rejection loops of criteria 4, 6 and 7 and the trials of criteria 5, 8
     # and 9 draw in batches; the loops that draw one at a time are the reference
     def loop(draw, passes, n):
         kept, rejected = [], 0
@@ -89,6 +89,23 @@ def test_batched_draws_match_per_draw_loops():
     )
     assert rejected == want_rejected > 0
     assert np.array_equal(got, want)
+
+    # criterion 5 draws its near-degenerate pairs one by one and normalizes them at once
+    rng = np.random.default_rng(6021023)
+    states, pairs = random_states(rng, (900,), 3), []
+    for _ in range(100):
+        p = random_states(rng, (), 2)
+        eps = 10.0 ** rng.uniform(-10.0, -4.0)
+        pairs.append((p, p + eps * (rng.normal(size=2) + 1j * rng.normal(size=2))))
+    p, q = np.moveaxis(pairs, 1, 0)
+    want, want_next = np.concatenate([states, symmetrize(p, normalize(q))]), rng.random()
+    rng = np.random.default_rng(6021023)
+    got = verify._majorana_states(rng)
+    assert rng.random() == want_next
+    assert got.shape == want.shape == (1000, 3)
+    # batch and scalar abs run different loops: the states agree to rounding
+    scale = np.max(np.abs(want), -1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
 
     # criterion 8 draws its 1000 noisy traces at once
     s1, s2, s3 = make_triplet(TripletParams(10.0, 120.0, 30.0))

@@ -510,6 +510,36 @@ class TestBatchedFringes:
         batch = phase_variation(arm_a, arm_b, p1, p2, noise_mean_photons=1e4, rng=6)
         assert np.array_equal(batch.ravel(), loop)
 
+    def test_arms_of_different_shapes_broadcast(self):
+        arm_a, arm_b, p1, _ = self._states((2, 3))
+        delta = default_delta_grid(64)
+        one_a = SymmetricState(*arm_a[0, 0])
+        # <p1|arm_a> of one element against <p1|arm_b> of a batch, from wrappers and from arrays
+        for a, b, proj in ((one_a, arm_b, SymmetricState(*p1[0, 0])), (arm_a[:1, :1], arm_b, p1[:1, :1])):
+            trace = fringe_trace(a, b, proj, delta, noise_mean_photons=1e4, rng=7)
+            shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(proj))[:-1]
+            assert trace.intensity.shape == (*shape, 64)
+            rng = np.random.default_rng(7)
+            for index in np.ndindex(*shape):
+                single = [np.broadcast_to(v, (*shape, 3))[index] for v in (a, b, proj)]
+                one = fringe_trace(*single, delta, noise_mean_photons=1e4, rng=rng)
+                assert np.array_equal(trace.intensity[index], one.intensity)
+
+    def test_a_noisy_batch_holds_one_complex_field_and_one_intensity(self):
+        s1, s2, s3 = make_triplet(TripletParams(10.0, 120.0, 30.0))
+        delta = default_delta_grid(100)
+        trials = np.broadcast_to(np.asarray(s3), (1000, 3))
+        fringe_trace(s1, s2, trials, delta, noise_mean_photons=1e5, rng=1)  # the grid's set-up is kept
+        tracemalloc.start()
+        try:
+            trace = fringe_trace(s1, s2, trials, delta, noise_mean_photons=1e5, rng=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 16 bytes of complex field and 8 of real intensity per sample; two
+        # complex temporaries alive at once would take 34
+        assert peak / trace.intensity.size <= 25
+
     def test_one_flat_element_raises(self):
         delta = default_delta_grid(100)
         inten = 1.0 + np.array([[0.5], [0.0], [0.3]]) * np.cos(delta)
