@@ -108,31 +108,17 @@ def make_triplet(p: TripletParams):
 
 
 def _qubit_phases(theta_deg, chi_deg, phi_deg):
-    """The unmirrored and mirrored qubit phases of analytic_qubit_phase, as numpy values."""
+    """The principal-branch phases of (psi1, psi2, psi3) and (psi1, psi2, psi3_mirror), as numpy values."""
     t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
     quarter, half = np.asarray(chi_deg, dtype=float) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
     unmirrored = -2.0 * np.arctan(t * np.tan(np.radians(quarter + half)))
     return unmirrored, 2.0 * np.arctan(t * np.tan(np.radians(quarter - half)))
 
 
-def analytic_qubit_phase(theta_deg, chi_deg, phi_deg, mirrored: bool = False):
-    """Closed-form three-vertex phase of (psi1, psi2, psi3 or mirror).
-
-    Unmirrored: -2*atan(tan(theta/2) * tan(chi/4 + phi/2));
-    mirrored:   +2*atan(tan(theta/2) * tan(chi/4 - phi/2)).
-    Returns the formula's principal branch (in (-pi, pi)); at the tangent
-    poles floating point lands on the left one-sided limit.  Broadcasts over
-    array inputs.
-    """
-    out = _qubit_phases(theta_deg, chi_deg, phi_deg)[1 if mirrored else 0]
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def analytic_total_phase(theta_deg, chi_deg, phi_deg):
     """Qutrit three-vertex phase of the standard triplet: sum of the two
     qubit phases.  Principal-branch value in (-2pi, 2pi); broadcasts."""
-    unmirrored, mirrored = _qubit_phases(theta_deg, chi_deg, phi_deg)
-    out = unmirrored + mirrored
+    out = np.add(*_qubit_phases(theta_deg, chi_deg, phi_deg))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -190,6 +176,14 @@ class PhaseCurve:
     @property
     def net_change_rad(self) -> float:
         return float(self.gamma_rad[-1] - self.gamma_rad[0])
+
+    def gamma_at(self, phi_deg) -> np.ndarray:
+        """np.interp(phi_deg, self.phi_deg, self.gamma_rad), value for value, for points of any shape:
+        looked up in ascending phi, which spares np.interp a binary search per point and changes no value."""
+        flat = np.asarray(phi_deg, dtype=float).ravel()
+        order, out = np.argsort(flat), np.empty(flat.size)
+        out[order] = np.interp(flat[order], self.phi_deg, self.gamma_rad)
+        return out.reshape(np.shape(phi_deg))
 
 
 def _phi_at_level(theta_deg: float, chi_deg: float, level) -> np.ndarray:
@@ -327,15 +321,14 @@ class OffsetFit(NamedTuple):
 def fit_offset(measured, theory: PhaseCurve) -> OffsetFit:
     """Constant offset minimizing the wrapped squared residuals.
 
-    ``measured`` holds (phi_deg, gamma_rad) pairs, shape (n, 2), or a batch of
-    such sets, shape (..., n, 2), which gives arrays; points outside the theory
-    curve's phi range are left out, and the curve is linearly interpolated at
-    the others.  The circular objective sum(wrap(measured - theory - c)^2) is
-    minimized exactly (the intrinsic mean on the circle): near any c it is the
-    quadratic cost of the sorted wrapped residuals with the j smallest lifted
-    by 2 pi, least at their mean, so the best of those means is the global
-    minimum.  The offset is reported in (-pi, pi] together with the residual
-    RMS.  Raises InsufficientData if any set has fewer than 2 points inside.
+    ``measured`` holds (phi_deg, gamma_rad) pairs, shape (n, 2), or a batch of such sets, shape
+    (..., n, 2), which gives arrays; points outside the theory curve's phi range are left out, and
+    theory.gamma_at interpolates the curve at the others, in ascending phi (the lookup order changes
+    no value).  The circular objective sum(wrap(measured - theory - c)^2) is minimized exactly (the
+    intrinsic mean on the circle): near any c it is the quadratic cost of the sorted wrapped
+    residuals with the j smallest lifted by 2 pi, least at their mean, so the best of those means is
+    the global minimum.  The offset is reported in (-pi, pi] together with the residual RMS.  Raises
+    InsufficientData if any set has fewer than 2 points inside.
     """
     arr = np.asarray(measured, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != 2:
@@ -348,7 +341,7 @@ def fit_offset(measured, theory: PhaseCurve) -> OffsetFit:
     smallest = int(np.min(count, initial=2))
     if smallest < 2:
         raise InsufficientData(f"need at least 2 measured points inside the theory range, got {smallest}")
-    resid = np.where(inside, gam - np.interp(phi, theory.phi_deg, theory.gamma_rad), 0.0)
+    resid = np.where(inside, gam - theory.gamma_at(phi), 0.0)
 
     # points outside sort last, as +inf, and then count as zeros
     x = np.sort(np.where(inside, wrap_angle(resid), np.inf), axis=-1)

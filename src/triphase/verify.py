@@ -328,18 +328,25 @@ def criterion_noise_robustness() -> list[Measurement]:
     ]
 
 
+def _offset_trials(rng: np.random.Generator):
+    """Criterion 9's 500 trials of 50 phis (deg) and their noise, the numbers of per-trial uniform(0, 360, 50) and
+    normal(0, 0.05, 50) draws: numpy makes those as 0 + 360 U and 0 + 0.05 Z, from unit draws filled in turn."""
+    draws = np.empty((2, 500, 50))
+    for phi_row, noise_row in zip(*draws):
+        rng.random(out=phi_row)
+        rng.standard_normal(out=noise_row)
+    draws *= np.reshape((360.0, 0.05), (2, 1, 1))
+    return draws
+
+
 @_criterion(9, "offset-fitting")
 def criterion_offset_fitting() -> list[Measurement]:
     """Recover a 0.3 rad offset from 50 noisy points (sigma = 0.05) within
     3*sigma/sqrt(n) in >= 99% of 500 trials."""
     theory = sweep_phi(10.0, 120.0, np.linspace(0.0, 360.0, 721))
-    rng = np.random.default_rng(55555)
     bound = 3.0 * 0.05 / math.sqrt(50.0)
-    phis, noise = np.empty((2, 500, 50))
-    for k in range(500):  # each trial draws its phis, then its noise
-        phis[k] = rng.uniform(0.0, 360.0, size=50)
-        noise[k] = rng.normal(0.0, 0.05, size=50)
-    gammas = np.interp(phis, theory.phi_deg, theory.gamma_rad) + 0.3 + noise
+    phis, noise = _offset_trials(np.random.default_rng(55555))
+    gammas = theory.gamma_at(phis) + 0.3 + noise
     fit = fit_offset(np.stack([phis, gammas], -1), theory)
     hits = int(np.sum(np.abs(wrap_angle(fit.offset_rad - 0.3)) <= bound))
     return [Measurement(f"within {bound:.4f} rad of the offset", hits, 495, "500 trials", upper=False)]

@@ -16,7 +16,6 @@ from triphase.eraser import default_delta_grid, fringe_trace
 from triphase.triplet import (
     PhaseJump,
     TripletParams,
-    analytic_qubit_phase,
     analytic_total_phase,
     fit_offset,
     make_triplet,
@@ -116,20 +115,23 @@ def test_batched_draws_match_per_draw_loops():
     got = fringe_trace(s1, s2, trials, delta, noise_mean_photons=1e5, rng=987654321).intensity
     assert np.array_equal(got, want)
 
-    # criterion 9 draws trial by trial and fits the offsets at once
+    # criterion 9 fills its trials with unit draws and fits the offsets at once
     theory = sweep_phi(10.0, 120.0, np.linspace(0.0, 360.0, 721))
     rng = np.random.default_rng(55555)
-    want = []
+    want_phis, want_noise, want = [], [], []
     for _ in range(500):
-        phis = rng.uniform(0.0, 360.0, size=50)
-        gammas = np.interp(phis, theory.phi_deg, theory.gamma_rad) + 0.3 + rng.normal(0.0, 0.05, size=50)
+        phis, noise = rng.uniform(0.0, 360.0, size=50), rng.normal(0.0, 0.05, size=50)
+        gammas = np.interp(phis, theory.phi_deg, theory.gamma_rad) + 0.3 + noise
         want.append(fit_offset(np.column_stack([phis, gammas]), theory).offset_rad)
+        want_phis.append(phis)
+        want_noise.append(noise)
+    want_next = rng.random()
     rng = np.random.default_rng(55555)
-    phis, noise = np.empty((2, 500, 50))
-    for k in range(500):
-        phis[k] = rng.uniform(0.0, 360.0, size=50)
-        noise[k] = rng.normal(0.0, 0.05, size=50)
-    gammas = np.interp(phis, theory.phi_deg, theory.gamma_rad) + 0.3 + noise
+    phis, noise = verify._offset_trials(rng)
+    assert rng.random() == want_next
+    assert phis.tobytes() == np.array(want_phis).tobytes()
+    assert noise.tobytes() == np.array(want_noise).tobytes()
+    gammas = theory.gamma_at(phis) + 0.3 + noise
     assert np.array_equal(fit_offset(np.stack([phis, gammas], -1), theory).offset_rad, want)
 
 
@@ -139,9 +141,9 @@ def test_sign_flip_mutation_is_caught(monkeypatch):
         return -analytic_total_phase(theta, chi, phi)
 
     def flipped_first_term(theta, chi, phi):
-        return -analytic_qubit_phase(theta, chi, phi) + analytic_qubit_phase(
-            theta, chi, phi, mirrored=True
-        )
+        # the unmirrored qubit phase -2 atan(tan(theta/2) tan(chi/4 + phi/2)) with its sign flipped
+        unmirrored = -2.0 * np.arctan(np.tan(np.radians(theta) / 2.0) * np.tan(np.radians(chi / 4.0 + phi / 2.0)))
+        return analytic_total_phase(theta, chi, phi) - 2.0 * unmirrored
 
     for mutant in (flipped_total, flipped_first_term):
         monkeypatch.setattr(verify, "analytic_total_phase", mutant)

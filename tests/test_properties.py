@@ -1,5 +1,5 @@
-"""Property tests of `wrap_angle`, the phase-curve sweep, the waveplate solver, the CLI
-writers and the CLI's exit codes over the whole documented domain."""
+"""Property tests of `wrap_angle`, the phase-curve sweep, the waveplate solver, the offset
+fit, the CLI writers and the CLI's exit codes over the whole documented domain."""
 
 import contextlib
 import io
@@ -24,7 +24,7 @@ from triphase.eraser import (  # noqa: E402
     solve_waveplates,
     waveplate_matrix,
 )
-from triphase.triplet import TripletParams, make_triplet, sweep_phi, total_phase_continuous  # noqa: E402
+from triphase.triplet import TripletParams, fit_offset, make_triplet, sweep_phi, total_phase_continuous  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,6 +139,53 @@ def test_quarter_then_half_wave_plate_reach_every_state_from_linear_light(angle,
     a = math.radians(angle)
     start = QubitState.of(*np.exp(1j * math.radians(phase)) * np.array([math.cos(a), math.sin(a)]))
     assert solve_waveplates(target, ("quarter", "half"), start).infidelity <= 1e-24
+
+
+OFFSET_THEORY = sweep_phi(10.0, 120.0, np.linspace(0.0, 300.0, 601))
+
+
+@st.composite
+def measured_sets(draw):
+    """1 to 3 measured sets of one length, each of n in 2..40 points inside the theory range, with
+    any residuals about an offset anywhere, filled up with points outside the range, in any order."""
+    counts = draw(st.lists(st.integers(2, 40), min_size=1, max_size=3))
+    length = max(counts) + draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    sets = []
+    for n in counts:
+        outside = rng.uniform(301.0, 720.0, length - n)
+        outside = np.where(rng.random(length - n) < 0.5, 300.0 - outside, outside)
+        residuals = draw(st.lists(st.floats(-2.0 * TWO_PI, 2.0 * TWO_PI), min_size=n, max_size=n))
+        points = np.column_stack([
+            np.concatenate([rng.uniform(0.0, 300.0, n), outside]),
+            np.concatenate([residuals, rng.uniform(-1e3, 1e3, length - n)]) + draw(st.floats(-1e6, 1e6)),
+        ])
+        points[:, 1] += np.interp(points[:, 0], OFFSET_THEORY.phi_deg, OFFSET_THEORY.gamma_rad)
+        sets.append(rng.permutation(points))
+    return np.array(sets)
+
+
+@PROPERTY
+@given(measured_sets())
+def test_offset_fit_is_the_global_minimum_of_its_cost(batch):
+    fit = fit_offset(batch, OFFSET_THEORY)
+    scan = np.linspace(-math.pi, math.pi, 5001)
+    for k, measured in enumerate(batch):
+        one = fit_offset(measured, OFFSET_THEORY)
+        assert (one.offset_rad, one.rms_rad) == (fit.offset_rad[k], fit.rms_rad[k])
+        phi, gamma = measured[(measured[:, 0] >= 0.0) & (measured[:, 0] <= 300.0)].T
+        resid = gamma - np.interp(phi, OFFSET_THEORY.phi_deg, OFFSET_THEORY.gamma_rad)
+        x = wrap_angle(resid)  # the fit's cost is that of the wrapped residuals
+
+        def cost(c):  # wrap(x - c)^2, as x and c lie in (-pi, pi]
+            distance = np.abs(x - np.asarray(c)[..., None])
+            return np.sum(np.minimum(distance, TWO_PI - distance) ** 2, -1)
+
+        at_fit = float(cost(one.offset_rad))
+        assert at_fit <= float(cost(scan).min()) + 1e-9
+        assert -math.pi < one.offset_rad <= math.pi
+        rms = math.sqrt(float(np.mean(wrap_angle(resid - one.offset_rad) ** 2)))
+        assert one.rms_rad == pytest.approx(rms, rel=1e-9, abs=1e-12)
 
 
 # The writers as they were before they formatted all rows in one pass: one

@@ -25,8 +25,8 @@ from triphase.core import (
 from triphase.triplet import (
     GridTooCoarse,
     InsufficientData,
+    PhaseCurve,
     TripletParams,
-    analytic_qubit_phase,
     analytic_total_phase,
     fit_offset,
     make_states,
@@ -43,6 +43,23 @@ H = QubitState(1, 0)
 
 def angdiff(a, b):
     return abs(wrap_angle(a - b))
+
+
+def analytic_qubit_phase(theta_deg, chi_deg, phi_deg, mirrored=False):
+    """Oracle: the closed-form three-vertex phase of (psi1, psi2, psi3 or its mirror).
+
+    Unmirrored: -2*atan(tan(theta/2) * tan(chi/4 + phi/2));
+    mirrored:   +2*atan(tan(theta/2) * tan(chi/4 - phi/2)).
+    The principal branch, in (-pi, pi); at the tangent poles floating point
+    lands on the left one-sided limit.  Broadcasts over array inputs.
+    """
+    t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
+    quarter, half = np.asarray(chi_deg, dtype=float) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
+    if mirrored:
+        out = 2.0 * np.arctan(t * np.tan(np.radians(quarter - half)))
+    else:
+        out = -2.0 * np.arctan(t * np.tan(np.radians(quarter + half)))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class TestMakeStates:
@@ -179,6 +196,9 @@ class TestAnalyticPhase:
             assert angdiff(analytic_qubit_phase(theta, chi, phi), direct) < 1e-9
             direct_m = three_vertex_phase(psi1, psi2, psi3m)
             assert angdiff(analytic_qubit_phase(theta, chi, phi, mirrored=True), direct_m) < 1e-9
+            # the library's total is the sum of the oracle's two qubit phases
+            total = analytic_qubit_phase(theta, chi, phi) + analytic_qubit_phase(theta, chi, phi, mirrored=True)
+            assert analytic_total_phase(theta, chi, phi) == total
 
     def test_agrees_with_direct_qutrit_phase_grid(self):
         for theta in (2, 10, 45):
@@ -217,9 +237,7 @@ class TestAnalyticPhase:
     def test_float32_inputs_are_computed_in_float64(self):
         # a float32 array equals its float64 copy exactly, so the results must too
         theta, chi, phi = np.float32([2.5, 10.0, 44.75]), np.float32([0.0, 120.0, 60.5]), np.float32([30.25, 150.0, 300.5])
-        funcs = [analytic_total_phase, total_phase_continuous, phase_slope]
-        funcs += [lambda *a: analytic_qubit_phase(*a, mirrored=m) for m in (False, True)]
-        for f in funcs:
+        for f in (analytic_total_phase, total_phase_continuous, phase_slope):
             for args in [(theta, chi, phi), (theta, 120, phi), (10.0, chi, phi), (theta, chi, 60.0)]:
                 want = f(*(np.asarray(a, dtype=float) for a in args))
                 assert f(*args).tobytes() == want.tobytes()
@@ -400,9 +418,55 @@ class TestSweep:
         assert curve.jumps == []
 
 
+class TestGammaAt:
+    @pytest.mark.parametrize("count", [721, 13])
+    def test_equals_np_interp(self, count):
+        grid = np.linspace(0.0, 360.0, count)
+        curve = sweep_phi(10.0, 120.0, grid)
+        assert (curve.phi_deg.size > grid.size) == (count == 13)  # the coarse grid gets refined rows
+        nodes = curve.phi_deg
+        rng = np.random.default_rng(41)
+        # unsorted points in and out of range, repeated points, nodes and both ends
+        points = np.concatenate([
+            rng.uniform(-60.0, 420.0, 40), nodes[rng.integers(0, nodes.size, 12)], [nodes[0], nodes[-1]],
+            [200.0, 200.0, -1e300, 1e300, -np.inf, np.inf],
+        ])
+        rng.shuffle(points)
+        rows = points.reshape(6, 10)
+        for phi in (points[5], float(points[6]), points, rows, rows[:, ::3], list(points)):
+            want = np.interp(phi, curve.phi_deg, curve.gamma_rad)
+            got = curve.gamma_at(phi)
+            assert got.shape == np.shape(want)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == np.asarray(want).tobytes()
+        assert np.isnan(curve.gamma_at([np.nan, 10.0, np.nan])[[0, 2]]).all()
+
+
 class TestFitOffset:
     def _theory(self):
         return sweep_phi(10, 120, np.linspace(0, 360, 721))
+
+    def test_sorted_lookup_keeps_the_bits_of_np_interp(self, monkeypatch):
+        # the oracle is the same fit reading the curve with np.interp, in the points' own order
+        theory = sweep_phi(10, 120, np.linspace(0, 300, 601))  # some points fall outside 0..300
+        rng = np.random.default_rng(29)
+        corpus = []
+        for shape in [(), (), (6,), (2, 3), (500,)]:
+            phis = rng.uniform(-40.0, 360.0, size=(*shape, 50))
+            gammas = (
+                np.interp(phis, theory.phi_deg, theory.gamma_rad)
+                + rng.uniform(-math.pi, math.pi, size=(*shape, 1))
+                + rng.normal(0.0, rng.uniform(0.01, 2.0, size=(*shape, 1)), size=(*shape, 50))
+            )
+            corpus.append(np.stack([phis, gammas], -1))
+        got = [fit_offset(measured, theory) for measured in corpus]
+        monkeypatch.setattr(PhaseCurve, "gamma_at", lambda self, phi: np.interp(phi, self.phi_deg, self.gamma_rad))
+        want = [fit_offset(measured, theory) for measured in corpus]
+        for one, other in zip(got, want):
+            for a, b in zip(one, other):
+                assert type(a) is type(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert all(np.any((m[..., 0] < 0.0) | (m[..., 0] > 300.0)) for m in corpus)
 
     def test_exact_offset(self):
         theory = self._theory()
