@@ -29,10 +29,8 @@ from .eraser import (
     WaveplateSolution,
     ZeroVisibility,
     default_delta_grid,
-    delta_from_path_difference,
     extract_fringe_phase,
     fringe_trace,
-    path_difference_from_delta,
     phase_variation,
     projection_amplitude,
     projection_chain_amplitude,

@@ -56,10 +56,6 @@ class ValidationError(ValueError):
     """Bad command parameter; the message names the offending field."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
-
-
 def _parse_phi_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -135,14 +131,7 @@ def phase_curve_json(curve: PhaseCurve, phi_range: tuple[float, float, int]) -> 
             "phi": {"start": phi_range[0], "stop": phi_range[1], "count": phi_range[2]},
         },
         "samples": [],
-        "jumps": [
-            {
-                "phi_center_deg": j.phi_center_deg,
-                "rise_rad": j.rise_rad,
-                "width_deg": j.width_deg,
-            }
-            for j in curve.jumps
-        ],
+        "jumps": [vars(j) for j in curve.jumps],
     }
     return _json(doc, _curve_columns(curve))
 
@@ -156,7 +145,7 @@ def fringe_json(trace, fit, params: dict) -> str:
         "command": "fringe",
         "params": params,
         "samples": [],
-        "fit": {"phase_rad": fit.phase_rad, "visibility": fit.visibility},
+        "fit": fit._asdict(),
     }
     return _json(doc, {"delta_rad": trace.delta_rad, "intensity": trace.intensity})
 
@@ -223,7 +212,7 @@ def cmd_fringe(args) -> int:
             "seed": args.seed,
         }
         _write_text(out, fringe_json(trace, fit, params))
-    print(f"phase_rad={_fmt(fit.phase_rad)} visibility={_fmt(fit.visibility)}")
+    print(f"phase_rad={fit.phase_rad:.15g} visibility={fit.visibility:.15g}")
     print(f"wrote {out} ({trace.delta_rad.size} samples)")
     return 0
 

@@ -26,7 +26,6 @@ import numpy as np
 from .core import QubitState, SymmetricState, bloch_from_qubit, inner, wrap_angle
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_WAVELENGTH_M = 391e-9
 MIN_FRINGE_SPAN_RAD = 0.9 * TWO_PI  # the samples of a fit span at least this much
 MIN_VISIBILITY = 1e-3  # a fringe fainter than this has no meaningful phase
 MAX_NOISE_PHOTONS = 1e15  # mean photons at the fringe maximum, well inside Poisson sampling
@@ -387,19 +386,3 @@ def phase_variation(
         noise_mean_photons=noise_mean_photons, rng=rng,
     ))
     return wrap_angle(fit.phase_rad[..., 1] - fit.phase_rad[..., 0])
-
-
-def delta_from_path_difference(path_m, wavelength_m: float = DEFAULT_WAVELENGTH_M):
-    """Relative phase delta = 2 pi x / lambda for a path difference x."""
-    if not 0.0 < wavelength_m < math.inf:
-        raise ValueError("wavelength must be finite and positive")
-    out = TWO_PI * np.asarray(path_m, dtype=float) / wavelength_m
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def path_difference_from_delta(delta_rad, wavelength_m: float = DEFAULT_WAVELENGTH_M):
-    """Inverse of delta_from_path_difference."""
-    if not 0.0 < wavelength_m < math.inf:
-        raise ValueError("wavelength must be finite and positive")
-    out = np.asarray(delta_rad, dtype=float) * wavelength_m / TWO_PI
-    return float(out) if np.ndim(out) == 0 else out

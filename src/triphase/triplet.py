@@ -107,18 +107,18 @@ def make_triplet(p: TripletParams):
     return (*_anchor_pair(p.theta_deg, math.copysign(1.0, p.theta_deg)), symmetrize(psi3, psi3_mirror))
 
 
-def _qubit_phases(theta_deg, chi_deg, phi_deg):
-    """The principal-branch phases of (psi1, psi2, psi3) and (psi1, psi2, psi3_mirror), as numpy values."""
+def _half_angles(theta_deg, chi_deg, phi_deg):
+    """tan(theta/2) and chi/4 +- phi/2 in radians, in float64; chi modulo 720, its period, lest a huge chi swamp phi."""
     t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
-    quarter, half = np.asarray(chi_deg, dtype=float) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
-    unmirrored = -2.0 * np.arctan(t * np.tan(np.radians(quarter + half)))
-    return unmirrored, 2.0 * np.arctan(t * np.tan(np.radians(quarter - half)))
+    quarter, half = np.fmod(np.asarray(chi_deg, dtype=float), 720.0) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
+    return t, np.radians(quarter + half), np.radians(quarter - half)
 
 
 def analytic_total_phase(theta_deg, chi_deg, phi_deg):
     """Qutrit three-vertex phase of the standard triplet: sum of the two
     qubit phases.  Principal-branch value in (-2pi, 2pi); broadcasts."""
-    out = np.add(*_qubit_phases(theta_deg, chi_deg, phi_deg))
+    t, a, b = _half_angles(theta_deg, chi_deg, phi_deg)
+    out = -2.0 * np.arctan(t * np.tan(a)) + 2.0 * np.arctan(t * np.tan(b))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -132,7 +132,8 @@ def total_phase_continuous(theta_deg, chi_deg, phi_deg):
     """
     base = analytic_total_phase(theta_deg, chi_deg, phi_deg)
     th, ph = np.radians(np.asarray(theta_deg, dtype=float)), np.radians(np.asarray(phi_deg, dtype=float))
-    arg = np.arctan2(np.sin(th) * np.sin(ph), np.cos(th) * np.cos(np.radians(chi_deg) / 2.0) + np.cos(ph))
+    kappa = np.cos(th) * np.cos(np.radians(np.fmod(chi_deg, 720.0)) / 2.0)
+    arg = np.arctan2(np.sin(th) * np.sin(ph), kappa + np.cos(ph))
     arg = arg + TWO_PI * np.rint((ph - arg) / TWO_PI)
     out = base - TWO_PI * np.rint((base + 2.0 * arg) / TWO_PI)
     return float(out) if np.ndim(out) == 0 else out
@@ -143,9 +144,7 @@ def phase_slope(theta_deg, chi_deg, phi_deg):
 
     Strictly negative for 0 < theta < 180: the curve is monotone decreasing.
     """
-    t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
-    quarter, half = np.asarray(chi_deg, dtype=float) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
-    a, b = np.radians(quarter + half), np.radians(quarter - half)
+    t, a, b = _half_angles(theta_deg, chi_deg, phi_deg)
 
     def g(x):
         return t / (np.cos(x) ** 2 + (t * np.sin(x)) ** 2)
@@ -198,7 +197,7 @@ def _phi_at_level(theta_deg: float, chi_deg: float, level) -> np.ndarray:
     Vectorized over ``level``.
     """
     th = math.radians(theta_deg)
-    kappa = math.cos(th) * math.cos(math.radians(chi_deg) / 2.0)
+    kappa = math.cos(th) * math.cos(math.radians(math.fmod(chi_deg, 720.0)) / 2.0)
     psi = -0.5 * np.asarray(level, dtype=float)
     a, b = math.sin(th) * np.cos(psi), -np.sin(psi)
     # a sin(phi) + b cos(phi) = hypot(a, b) sin(phi + atan2(b, a))
@@ -223,7 +222,7 @@ def _jump_windows(theta_deg: float, chi_deg: float, lo: float, hi: float):
     """
     th = math.radians(theta_deg)
     c2 = math.cos(th) ** 2
-    kappa = math.cos(th) * math.cos(math.radians(chi_deg) / 2.0)
+    kappa = math.cos(th) * math.cos(math.radians(math.fmod(chi_deg, 720.0)) / 2.0)
     c0 = kappa * (1.0 + c2 - kappa * kappa)
     if kappa * c2 - 2.0 * c2 + c0 >= 0.0:
         u0 = -1.0

@@ -28,10 +28,8 @@ from triphase.eraser import (
     WaveplateSetting,
     ZeroVisibility,
     default_delta_grid,
-    delta_from_path_difference,
     extract_fringe_phase,
     fringe_trace,
-    path_difference_from_delta,
     phase_variation,
     projection_amplitude,
     projection_chain_amplitude,
@@ -776,18 +774,3 @@ class TestPhaseVariation:
             total += phase_variation(s1, s2, a, b)
         expected = total_phase_continuous(theta, chi, 360.0) - total_phase_continuous(theta, chi, 0.0)
         assert abs(total - expected) < 1e-6
-
-
-class TestPathConversion:
-    def test_roundtrip_and_default_wavelength(self):
-        x = 1.234e-6
-        delta = delta_from_path_difference(x)
-        assert delta == pytest.approx(TWO_PI * x / 391e-9, rel=1e-12)
-        assert path_difference_from_delta(delta) == pytest.approx(x, rel=1e-12)
-
-    def test_custom_wavelength(self):
-        assert delta_from_path_difference(782e-9, wavelength_m=782e-9) == pytest.approx(TWO_PI)
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            for convert in (delta_from_path_difference, path_difference_from_delta):
-                with pytest.raises(ValueError, match="^wavelength must be finite and positive$"):
-                    convert(1e-7, wavelength_m=bad)

@@ -1,5 +1,6 @@
-"""Property tests of `wrap_angle`, the phase-curve sweep, the waveplate solver, the offset
-fit, the CLI writers and the CLI's exit codes over the whole documented domain."""
+"""Property tests of `wrap_angle`, the phase-curve sweep, the three-vertex phase and its
+area law, the waveplate solver, the offset fit, the CLI writers and the CLI's exit codes
+over the whole documented domain."""
 
 import contextlib
 import io
@@ -11,10 +12,21 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from triphase import cli  # noqa: E402
-from triphase.core import QubitState, wrap_angle  # noqa: E402
+from triphase.core import (  # noqa: E402
+    ANTIPODAL_TOL,
+    PHASE_SINGULAR_TOL,
+    QubitState,
+    UndefinedPhase,
+    bloch_from_qubit,
+    inner,
+    normalize,
+    spherical_triangle_signed_area,
+    three_vertex_phase,
+    wrap_angle,
+)
 from triphase.eraser import (  # noqa: E402
     FringeFit,
     Unreachable,
@@ -139,6 +151,59 @@ def test_quarter_then_half_wave_plate_reach_every_state_from_linear_light(angle,
     a = math.radians(angle)
     start = QubitState.of(*np.exp(1j * math.radians(phase)) * np.array([math.cos(a), math.sin(a)]))
     assert solve_waveplates(target, ("quarter", "half"), start).infidelity <= 1e-24
+
+
+@st.composite
+def state_triples(draw):
+    """States a, b, c as arrays of shape (n, d), d in 2..4 and n in 1..3, and a global phase for
+    each state.  Each complex component is Gaussian, zero, or Gaussian times 1e-4 or 1e-7, one
+    in four each, so that orthogonal and nearly orthogonal pairs come up."""
+    d, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    z = rng.normal(size=(3, n, d)) + 1j * rng.normal(size=(3, n, d))
+    z *= np.array([1.0, 0.0, 1e-4, 1e-7])[rng.integers(0, 4, (3, n, d))]
+    assume(z.any(-1).all())
+    phases = draw(st.lists(st.floats(-math.pi, math.pi), min_size=3 * n, max_size=3 * n))
+    return normalize(z), np.reshape(phases, (3, n, 1))
+
+
+@PROPERTY
+@given(state_triples())
+def test_three_vertex_phase_laws_on_arrays(triple):
+    states, phases = triple
+    a, b, c = states
+    overlaps = np.abs([np.sum(x.conj() * y, -1) for x, y in ((a, c), (c, b), (b, a))])
+    smallest = float(np.min(np.prod(overlaps, 0)))
+    assume(abs(smallest - PHASE_SINGULAR_TOL) > 1e-9 * PHASE_SINGULAR_TOL)  # rounding decides the boundary
+    if smallest < PHASE_SINGULAR_TOL:
+        with pytest.raises(UndefinedPhase):
+            three_vertex_phase(a, b, c)
+        return
+    gamma = three_vertex_phase(a, b, c)
+    # an overlap of unit vectors is good to a few ulps absolutely, so its phase to that over its size
+    tol = 1e-13 / np.min(overlaps, 0)
+    gauged = states * np.exp(1j * phases)
+    for got, want in (
+        (three_vertex_phase(*gauged), gamma),
+        (three_vertex_phase(b, c, a), gamma),
+        (three_vertex_phase(c, a, b), gamma),
+        (three_vertex_phase(b, a, c), -gamma),
+        (three_vertex_phase(a, c, b), -gamma),
+        (three_vertex_phase(c, b, a), -gamma),
+    ):
+        assert (np.abs(wrap_angle(got - want)) <= tol).all()
+
+
+@PROPERTY
+@given(qubits, qubits, qubits)
+@example(_qubit(0.0, 0.0), _qubit(179.996, 0.0), _qubit(90.0, 90.0))  # a pair just outside the antipodal tolerance
+def test_area_phase_law_over_the_whole_sphere(a, b, c):
+    # criterion 4's law, bound and overlap floor on triples anywhere on the sphere
+    assume(abs(inner(a, c) * inner(c, b) * inner(b, a)) >= 1e-6)
+    va, vb, vc = (bloch_from_qubit(s) for s in (a, b, c))
+    assume(min(inner(va, vb), inner(vb, vc), inner(vc, va)) > -1.0 + 2.0 * ANTIPODAL_TOL)
+    omega = spherical_triangle_signed_area(va, vb, vc)
+    assert abs(wrap_angle(three_vertex_phase(a, b, c) + omega / 2.0)) <= 1e-9
 
 
 OFFSET_THEORY = sweep_phi(10.0, 120.0, np.linspace(0.0, 300.0, 601))

@@ -34,7 +34,6 @@ EXPORTS = [
     "analytic_total_phase",
     "bloch_from_qubit",
     "default_delta_grid",
-    "delta_from_path_difference",
     "extract_fringe_phase",
     "fit_offset",
     "fringe_trace",
@@ -42,7 +41,6 @@ EXPORTS = [
     "majorana_decompose",
     "make_states",
     "make_triplet",
-    "path_difference_from_delta",
     "phase_variation",
     "projection_amplitude",
     "projection_chain_amplitude",

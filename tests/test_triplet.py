@@ -311,6 +311,17 @@ class TestSweep:
             with pytest.raises(ValueError, match="phi grid"):
                 sweep_phi(10, 120, [0.0, 10.0, bad])
 
+    @pytest.mark.parametrize("chi", [720e12 + 120.0, 1e16, 1e300, -1e300])
+    def test_huge_chi_is_taken_modulo_its_period(self, chi):
+        # unreduced, chi / 4 +- phi / 2 loses phi: at chi = 1e16 the jumps moved by 0.3 deg,
+        # and at +-1e300 the sweep raised a false GridTooCoarse
+        grid = np.linspace(0, 360, 721)
+        curve, reduced = sweep_phi(10, chi, grid), sweep_phi(10, math.fmod(chi, 720.0), grid)
+        assert np.array_equal(curve.phi_deg, reduced.phi_deg)
+        assert np.array_equal(curve.gamma_rad, reduced.gamma_rad)
+        assert curve.jumps == reduced.jumps
+        assert curve.net_change_rad == pytest.approx(-2 * TWO_PI, abs=1e-6)
+
     @pytest.mark.parametrize(
         "theta, grid",
         [(178, np.linspace(0, 360, 5)), (1e-6, np.linspace(0, 360, 721))],
