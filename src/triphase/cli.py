@@ -175,11 +175,7 @@ def cmd_phase_curve(args) -> int:
 def cmd_fringe(args) -> int:
     theta = _check_angle("theta", args.theta, 0.0, 180.0, allow_lo=True)
     chi = _check_angle("chi", args.chi, 0.0, 360.0, allow_lo=True)
-    try:
-        phi = float(args.phi)
-    except ValueError:
-        raise ValidationError(f"phi: expected a single angle in degrees, got {args.phi!r}") from None
-    phi = _check_angle("phi", phi, 0.0, 360.0, allow_lo=True)
+    phi = _check_angle("phi", args.phi, 0.0, 360.0, allow_lo=True)
     if not _MIN_DELTA_STEPS <= args.delta_steps <= _MAX_COUNT:
         raise ValidationError(
             f"delta-steps: must lie in [{_MIN_DELTA_STEPS}, {_MAX_COUNT}], got {args.delta_steps}"
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr = sub.add_parser("fringe", help="synthesize an interference fringe and extract its phase")
     fr.add_argument("--theta", type=float, required=True)
     fr.add_argument("--chi", type=float, required=True)
-    fr.add_argument("--phi", default="0", help="analyzer rotation (deg, single value)")
+    fr.add_argument("--phi", type=float, default=0.0, help="analyzer rotation (deg, single value)")
     fr.add_argument("--delta-steps", type=int, default=100, dest="delta_steps")
     fr.add_argument("--noise-photons", type=float, default=None, dest="noise_photons",
                     help="mean photons per sample at the ideal fringe maximum (Poisson noise)")

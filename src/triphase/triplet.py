@@ -107,17 +107,13 @@ def make_triplet(p: TripletParams):
     return (*_anchor_pair(p.theta_deg, math.copysign(1.0, p.theta_deg)), symmetrize(psi3, psi3_mirror))
 
 
-def _half_angles(theta_deg, chi_deg, phi_deg):
-    """tan(theta/2) and chi/4 +- phi/2 in radians, in float64; chi modulo 720, its period, lest a huge chi swamp phi."""
-    t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
-    quarter, half = np.fmod(np.asarray(chi_deg, dtype=float), 720.0) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
-    return t, np.radians(quarter + half), np.radians(quarter - half)
-
-
 def analytic_total_phase(theta_deg, chi_deg, phi_deg):
     """Qutrit three-vertex phase of the standard triplet: sum of the two
     qubit phases.  Principal-branch value in (-2pi, 2pi); broadcasts."""
-    t, a, b = _half_angles(theta_deg, chi_deg, phi_deg)
+    t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
+    # chi modulo 720, its period, lest a huge chi swamp phi
+    quarter, half = np.fmod(np.asarray(chi_deg, dtype=float), 720.0) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
+    a, b = np.radians(quarter + half), np.radians(quarter - half)
     out = -2.0 * np.arctan(t * np.tan(a)) + 2.0 * np.arctan(t * np.tan(b))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -136,20 +132,6 @@ def total_phase_continuous(theta_deg, chi_deg, phi_deg):
     arg = np.arctan2(np.sin(th) * np.sin(ph), kappa + np.cos(ph))
     arg = arg + TWO_PI * np.rint((ph - arg) / TWO_PI)
     out = base - TWO_PI * np.rint((base + 2.0 * arg) / TWO_PI)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def phase_slope(theta_deg, chi_deg, phi_deg):
-    """d(gamma)/d(phi) of the continuous curve, in rad per rad; broadcasts.
-
-    Strictly negative for 0 < theta < 180: the curve is monotone decreasing.
-    """
-    t, a, b = _half_angles(theta_deg, chi_deg, phi_deg)
-
-    def g(x):
-        return t / (np.cos(x) ** 2 + (t * np.sin(x)) ** 2)
-
-    out = -(g(a) + g(b))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -185,7 +167,7 @@ class PhaseCurve:
         return out.reshape(np.shape(phi_deg))
 
 
-def _phi_at_level(theta_deg: float, chi_deg: float, level) -> np.ndarray:
+def _phi_at_level(th: float, kappa: float, level) -> np.ndarray:
     """Where the continuous curve takes the value ``level`` (rad), in degrees.
 
     With kappa = cos(theta) cos(chi/2) the curve is gamma = -2 arg z, where
@@ -194,10 +176,8 @@ def _phi_at_level(theta_deg: float, chi_deg: float, level) -> np.ndarray:
     ellipse where sin(theta) cos(psi) sin(phi) - sin(psi) cos(phi) =
     kappa sin(psi), at the root of positive radius.  arg z and phi share
     their half-plane, so the continuous branch is the copy within pi of psi.
-    Vectorized over ``level``.
+    th is theta in radians.  Vectorized over ``level``.
     """
-    th = math.radians(theta_deg)
-    kappa = math.cos(th) * math.cos(math.radians(math.fmod(chi_deg, 720.0)) / 2.0)
     psi = -0.5 * np.asarray(level, dtype=float)
     a, b = math.sin(th) * np.cos(psi), -np.sin(psi)
     # a sin(phi) + b cos(phi) = hypot(a, b) sin(phi + atan2(b, a))
@@ -208,21 +188,23 @@ def _phi_at_level(theta_deg: float, chi_deg: float, level) -> np.ndarray:
     return np.degrees(phi + TWO_PI * np.rint((psi - phi) / TWO_PI))
 
 
-def _jump_windows(theta_deg: float, chi_deg: float, lo: float, hi: float):
+def _jump_windows(th: float, kappa: float, lo: float, hi: float):
     """The centers of the jumps in the range and the bounds of their windows.
 
     A jump is a strict local maximum of |slope| = 2 sin(theta) (1 + kappa u)
-    / |z|^2 (see _phi_at_level), which depends on phi only through
-    u = cos(phi); its u-derivative has the sign of -q(u), q(u) = kappa c2 u^2
-    + 2 c2 u + kappa (1 + c2 - kappa^2) with c2 = cos^2(theta).  q' = 2 c2
-    (1 + kappa u) > 0 on [-1, 1], so |slope| peaks at phi = +-acos(u0), u0
-    being the root of q there, clipped to -1 (q(-1) >= 0) or 1 (q(1) <= 0):
-    two jumps symmetric about 180 degrees, or one merged jump at 0 or 180.
-    Window k is [bounds[k], bounds[k + 1]]; a range without jumps gives [], [].
+    / |z|^2, |z|^2 = (kappa + u)^2 + sin^2(theta) (1 - u^2) (see _phi_at_level;
+    th is theta in radians), which depends on phi only through u = cos(phi);
+    its u-derivative has the sign of -q(u), q(u) = kappa c2 u^2 + 2 c2 u +
+    kappa (1 + c2 - kappa^2) with c2 = cos^2(theta).  q' = 2 c2 (1 + kappa u)
+    > 0 on [-1, 1], so |slope| peaks at phi = +-acos(u0), u0 being the root of
+    q there, clipped to -1 (q(-1) >= 0) or 1 (q(1) <= 0): two jumps symmetric
+    about 180 degrees, or one merged jump at 0 or 180.  There are none if the
+    peak exceeds the least |slope|, 2 sin(theta) / (1 + |kappa|) at u = +-1,
+    by less than 5% of the peak; the test multiplies out both denominators,
+    so no division fails or underflows as theta nears 0.  Window k is
+    [bounds[k], bounds[k + 1]]; a range without jumps gives [], [].
     """
-    th = math.radians(theta_deg)
     c2 = math.cos(th) ** 2
-    kappa = math.cos(th) * math.cos(math.radians(math.fmod(chi_deg, 720.0)) / 2.0)
     c0 = kappa * (1.0 + c2 - kappa * kappa)
     if kappa * c2 - 2.0 * c2 + c0 >= 0.0:
         u0 = -1.0
@@ -230,11 +212,9 @@ def _jump_windows(theta_deg: float, chi_deg: float, lo: float, hi: float):
         u0 = 1.0
     else:  # the root of smaller magnitude, in a cancellation-free form
         u0 = -c0 / (c2 + math.sqrt(c2 * (c2 - kappa * c0)))
+    if 0.95 * (1.0 + kappa * u0) * (1.0 + abs(kappa)) < (kappa + u0) ** 2 + math.sin(th) ** 2 * (1.0 - u0 * u0):
+        return [], []
     peak = math.degrees(math.acos(u0))
-    top, at_0, at_180 = (-phase_slope(theta_deg, chi_deg, [peak, 0.0, 180.0])).tolist()
-    if top - min(at_0, at_180) < 0.05 * top:
-        return [], []  # slope is essentially uniform; no localized jumps
-
     span = hi - lo
     periods = round(span / 360.0)
     peaks = {peak % 360.0, -peak % 360.0}
@@ -277,9 +257,11 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
     if (grid[1:] <= grid[:-1]).any():
         raise ValueError("phi grid must be strictly increasing")
 
+    th = math.radians(theta_deg)
+    kappa = math.cos(th) * math.cos(math.radians(math.fmod(chi_deg, 720.0)) / 2.0)
     # The jump windows need only the grid ends, which refined rows keep: one curve evaluation
     # covers grid and window bounds, one _phi_at_level call refined and 10%/90% jump levels.
-    centers, bounds = _jump_windows(theta_deg, chi_deg, float(grid[0]), float(grid[-1]))
+    centers, bounds = _jump_windows(th, kappa, float(grid[0]), float(grid[-1]))
     gamma = total_phase_continuous(theta_deg, chi_deg, np.concatenate([grid, bounds]))
     gamma, ends = gamma[: grid.size], gamma[grid.size :]
     rises = ends[1:] - ends[:-1]
@@ -295,7 +277,7 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
     i, n = wide.repeat(inside), parts.repeat(inside)
     k = np.arange(1, i.size + 1) - (inside.cumsum() - inside).repeat(inside)
     levels = np.concatenate([gamma[i] + steps[i] * k / n, ends[:-1] + 0.1 * rises, ends[:-1] + 0.9 * rises])
-    phi = _phi_at_level(theta_deg, chi_deg, levels)
+    phi = _phi_at_level(th, kappa, levels)
     nodes = grid
     if wide.size:
         nodes = np.unique(np.concatenate([grid, np.clip(phi[: i.size], grid[i], grid[i + 1])]))

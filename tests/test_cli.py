@@ -165,6 +165,14 @@ class TestFringe:
             assert code == 2, extra
             assert err.startswith(f"error: {field}:"), err
 
+    def test_non_numeric_phi_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fringe", "--theta", "10", "--chi", "120", "--phi", "abc"])
+        assert exc.value.code == 2
+        assert "argument --phi: invalid float value: 'abc'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_largest_noise_photons_accepted(self, tmp_path, monkeypatch, capsys):
         code, _, err = run(
             ["fringe", "--theta", "10", "--chi", "120", "--noise-photons", "1e15", "--out", "f.csv"],

@@ -52,6 +52,8 @@ class TestStates:
             SymmetricState(0.5, 0.5, 0.5)
         with pytest.raises(ValueError):
             BlochVector(1, 1, 0)
+        with pytest.raises(TypeError, match="QubitState takes 2 components, got 3"):
+            QubitState(1, 0, 0)
         # NaN fails every comparison, so a norm of NaN must not pass as 1
         for make, args in ((QubitState, (math.nan, 0)), (SymmetricState, (math.nan, 0, 0)),
                            (BlochVector, (math.nan, 0, 0)), (QubitState.of, (math.inf, 1))):

@@ -273,6 +273,12 @@ class TestFringe:
             FringeTrace(np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             FringeTrace(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+        delta = default_delta_grid(20)
+        with pytest.raises(ValueError, match="^delta_rad must be 1-d and intensity"):
+            FringeTrace(delta[None, :], np.ones((1, 20)))
+        s1, s2, s3 = make_triplet(TripletParams(10, 120, 20))
+        with pytest.raises(ValueError, match="^delta_rad must be 1-d$"):
+            fringe_trace(s1, s2, s3, delta.reshape(4, 5))
 
     def test_trace_rejects_non_finite_samples(self):
         delta = default_delta_grid(20)

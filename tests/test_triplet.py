@@ -31,7 +31,6 @@ from triphase.triplet import (
     fit_offset,
     make_states,
     make_triplet,
-    phase_slope,
     sweep_phi,
     total_phase_continuous,
 )
@@ -43,6 +42,18 @@ H = QubitState(1, 0)
 
 def angdiff(a, b):
     return abs(wrap_angle(a - b))
+
+
+def slope_oracle(theta_deg, chi_deg, phi_deg):
+    """Oracle: d(gamma)/d(phi) of the continuous curve, in rad per rad, as the derivative of
+    the two closed-form qubit phases (see analytic_qubit_phase); broadcasts over phi."""
+    t = math.tan(math.radians(theta_deg) / 2.0)
+    quarter, half = chi_deg / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
+
+    def g(x):
+        return t / (np.cos(x) ** 2 + (t * np.sin(x)) ** 2)
+
+    return -(g(np.radians(quarter + half)) + g(np.radians(quarter - half)))
 
 
 def analytic_qubit_phase(theta_deg, chi_deg, phi_deg, mirrored=False):
@@ -237,7 +248,7 @@ class TestAnalyticPhase:
     def test_float32_inputs_are_computed_in_float64(self):
         # a float32 array equals its float64 copy exactly, so the results must too
         theta, chi, phi = np.float32([2.5, 10.0, 44.75]), np.float32([0.0, 120.0, 60.5]), np.float32([30.25, 150.0, 300.5])
-        for f in (analytic_total_phase, total_phase_continuous, phase_slope):
+        for f in (analytic_total_phase, total_phase_continuous):
             for args in [(theta, chi, phi), (theta, 120, phi), (10.0, chi, phi), (theta, chi, 60.0)]:
                 want = f(*(np.asarray(a, dtype=float) for a in args))
                 assert f(*args).tobytes() == want.tobytes()
@@ -284,10 +295,11 @@ class TestContinuousBranch:
             assert total_phase_continuous(theta, chi, 180.0) == pytest.approx(-TWO_PI, abs=1e-9)
 
     def test_slope_is_negative_everywhere(self):
-        phis = np.linspace(0, 360, 721)
+        """The continuous curve is monotone: its slope is negative for 0 < theta < 180,
+        so it strictly decreases on a fine grid."""
+        phis = np.linspace(0, 360, 7201)
         for theta in (2, 10, 45, 89):
-            s = np.asarray(phase_slope(theta, 120, phis))
-            assert np.all(s < 0.0)
+            assert np.all(np.diff(total_phase_continuous(theta, 120, phis)) < 0.0)
 
 
 class TestSweep:
@@ -428,6 +440,60 @@ class TestSweep:
         curve = sweep_phi(89.9, 120, np.linspace(0, 360, 721))
         assert curve.jumps == []
 
+    def test_jumps_follow_the_five_percent_slope_rule(self):
+        # A curve has jumps unless the peak of |slope| exceeds its least, at phi = 0 or 180,
+        # by less than 5% of the peak; the oracle finds the peak on a phi grid, refined about
+        # its maximum, and pairs within 1e-6 of the line (where the grid could decide) are left out.
+        rng = np.random.default_rng(2105)
+        thetas = np.concatenate([rng.uniform(80.0, 100.0, 1800), rng.uniform(1.0, 179.0, 400)])
+        chis = rng.uniform(0.0, 360.0, thetas.size)
+        grid, coarse = np.linspace(0, 360, 13), np.linspace(0.0, 180.0, 361)
+        decided = {True: 0, False: 0}
+        for theta, chi in zip(thetas.tolist(), chis.tolist()):
+            slope = np.abs(slope_oracle(theta, chi, coarse))
+            peak = coarse[np.argmax(slope)]
+            top = np.abs(slope_oracle(theta, chi, np.linspace(peak - 0.5, peak + 0.5, 2001))).max()
+            spread = (top - min(slope[0], slope[-1])) / top
+            if abs(spread - 0.05) < 1e-6:
+                continue
+            decided[spread >= 0.05] += 1
+            assert bool(sweep_phi(theta, chi, grid).jumps) == (spread >= 0.05), (theta, chi, spread)
+        assert min(decided.values()) > 500 and sum(decided.values()) > 2000
+
+    @pytest.mark.parametrize(
+        "theta, chi, grid",
+        [(10, 120, np.linspace(0, 360, 721)), (10, 0, np.linspace(0, 360, 721)), (2, 180, np.linspace(0, 360, 13)),
+         (45, 60, np.linspace(0, 360, 721)), (120, 90, np.linspace(0, 360, 721)), (80, 240, np.linspace(0, 360, 721)),
+         (10, 120, np.linspace(0, 720, 1441)), (10, 120, np.linspace(30, 200, 341)), (5, 60, np.linspace(-90, 300, 79))],
+    )
+    def test_jump_widths_match_bisection(self, theta, chi, grid):
+        # Each jump's window runs between the midpoints to its neighbouring centers, cyclically on a
+        # whole-period range; its width is the phi distance between 10% and 90% of its rise, found
+        # here by bisecting the monotone continuous curve.
+        curve = sweep_phi(theta, chi, grid)
+        centers = [j.phi_center_deg for j in curve.jumps]
+        assert centers
+        lo, hi = float(grid[0]), float(grid[-1])
+        span, mids = hi - lo, [(a + b) / 2.0 for a, b in zip(centers, centers[1:])]
+        if span % 360.0 == 0.0:  # whole periods: the first and the last window wrap around
+            wrap = (centers[-1] - span + centers[0]) / 2.0
+            bounds = [wrap, *mids, wrap + span]
+        else:
+            bounds = [lo, *mids, hi]
+
+        def crossing(level, a, b):
+            while True:
+                mid = (a + b) / 2.0
+                if mid in (a, b):
+                    return mid
+                a, b = (mid, b) if total_phase_continuous(theta, chi, mid) > level else (a, mid)
+
+        for jump, a, b in zip(curve.jumps, bounds, bounds[1:]):
+            start, end = total_phase_continuous(theta, chi, a), total_phase_continuous(theta, chi, b)
+            assert jump.rise_rad == pytest.approx(end - start, abs=1e-12)
+            width = crossing(start + 0.9 * (end - start), a, b) - crossing(start + 0.1 * (end - start), a, b)
+            assert abs(jump.width_deg - width) < 1e-9, (jump.width_deg, width)
+
 
 class TestGammaAt:
     @pytest.mark.parametrize("count", [721, 13])
@@ -495,6 +561,8 @@ class TestFitOffset:
             measured[7, column] = bad
             with pytest.raises(ValueError, match="^measured"):
                 fit_offset(measured, theory)
+        with pytest.raises(ValueError, match="^measured must be a sequence of"):
+            fit_offset(np.column_stack([phis, phis, phis]), theory)
 
     def test_wrap_boundary_offset(self):
         theory = self._theory()
