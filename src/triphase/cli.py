@@ -16,7 +16,8 @@ JSON schemas:
   {phase_rad, visibility}}
 
 Exit codes: 0 ok, 1 verification failure, 2 validation error, 3 degenerate
-physics (zero fringe visibility, unresolvable sweep).
+physics (zero fringe visibility, unresolvable sweep).  A number out of its
+bounds (core.check_range) gives exit 2 naming the field, interval and value read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import inner
+from .core import check_range, inner
 from .eraser import (
     MAX_NOISE_PHOTONS,
     MIN_FRINGE_SPAN_RAD,
@@ -39,7 +40,7 @@ from .eraser import (
     extract_fringe_phase,
     fringe_trace,
 )
-from .triplet import GridTooCoarse, PhaseCurve, TripletParams, make_triplet, sweep_phi
+from .triplet import ANGLES_DEG, GridTooCoarse, PhaseCurve, TripletParams, make_triplet, sweep_phi
 
 
 _MAX_COUNT = 10**6  # grid points of --phi and --delta-steps
@@ -52,36 +53,21 @@ _MIN_DELTA_STEPS = next(n for n in range(3, _MAX_COUNT) if default_delta_grid(n)
 _MAX_PHI_SPAN_DEG = 3.6e7
 
 
-class ValidationError(ValueError):
-    """Bad command parameter; the message names the offending field."""
-
-
 def _parse_phi_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValidationError(f"phi: expected start:stop:count, got {text!r}")
+        raise ValueError(f"phi: expected start:stop:count, got {text!r}")
     try:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError as exc:
-        raise ValidationError(f"phi: {exc}") from None
-    if not (abs(start) <= _MAX_PHI_SPAN_DEG and abs(stop) <= _MAX_PHI_SPAN_DEG):
-        raise ValidationError(f"phi: start and stop must be finite, within +-{_MAX_PHI_SPAN_DEG:g} deg, got {text!r}")
-    if not 3 <= count <= _MAX_COUNT:
-        raise ValidationError(f"phi: count must lie in [3, {_MAX_COUNT}], got {count}")
-    if not stop > start:
-        raise ValidationError(f"phi: stop must exceed start, got {text!r}")
-    if stop - start > _MAX_PHI_SPAN_DEG:
-        raise ValidationError(f"phi: stop - start must be at most {_MAX_PHI_SPAN_DEG:g} deg, got {text!r}")
+        raise ValueError(f"phi: {exc}") from None
+    check_range("phi: start", start, (-_MAX_PHI_SPAN_DEG, _MAX_PHI_SPAN_DEG), "[]")
+    check_range("phi: stop", stop, (-_MAX_PHI_SPAN_DEG, _MAX_PHI_SPAN_DEG), "[]")
+    check_range("phi: count", count, (3, _MAX_COUNT), "[]")
+    # for finite floats, stop - start > 0 exactly when stop > start
+    check_range("phi: stop - start", stop - start, (0.0, _MAX_PHI_SPAN_DEG), "(]")
     return start, stop, count
-
-
-def _check_angle(name: str, value: float, lo: float, hi: float, *, allow_lo: bool) -> float:
-    ok = (value >= lo if allow_lo else value > lo) and value < hi
-    if not ok:
-        bracket = "[" if allow_lo else "("
-        raise ValidationError(f"{name}: must lie in {bracket}{lo:g}, {hi:g}), got {value:g}")
-    return float(value)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -89,7 +75,7 @@ def _write_text(path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"out: {exc.filename or path}: {exc.strerror or exc}") from None
+        raise ValueError(f"out: {exc.filename or path}: {exc.strerror or exc}") from None
 
 
 def _csv(cols: dict) -> str:
@@ -151,12 +137,12 @@ def fringe_json(trace, fit, params: dict) -> str:
 
 
 def cmd_phase_curve(args) -> int:
-    theta = _check_angle("theta", args.theta, 0.0, 180.0, allow_lo=False)
-    chi = _check_angle("chi", args.chi, 0.0, 360.0, allow_lo=True)
+    theta = check_range("theta", args.theta, ANGLES_DEG["theta"], "()")
+    chi = check_range("chi", args.chi, ANGLES_DEG["chi"])
     start, stop, count = _parse_phi_range(args.phi)
     grid = np.linspace(start, stop, count)
     if not (np.diff(grid) > 0.0).all():
-        raise ValidationError(f"phi: {count} points from {start!r} to {stop!r} are not strictly increasing")
+        raise ValueError(f"phi: {count} points from {start!r} to {stop!r} are not strictly increasing")
     curve = sweep_phi(theta, chi, grid)
     out = Path(args.out) if args.out else Path(f"phase-curve.{args.format}")
     if args.format == "csv":
@@ -173,19 +159,11 @@ def cmd_phase_curve(args) -> int:
 
 
 def cmd_fringe(args) -> int:
-    theta = _check_angle("theta", args.theta, 0.0, 180.0, allow_lo=True)
-    chi = _check_angle("chi", args.chi, 0.0, 360.0, allow_lo=True)
-    phi = _check_angle("phi", args.phi, 0.0, 360.0, allow_lo=True)
-    if not _MIN_DELTA_STEPS <= args.delta_steps <= _MAX_COUNT:
-        raise ValidationError(
-            f"delta-steps: must lie in [{_MIN_DELTA_STEPS}, {_MAX_COUNT}], got {args.delta_steps}"
-        )
-    if args.seed < 0:
-        raise ValidationError(f"seed: must be non-negative, got {args.seed}")
-    if args.noise_photons is not None and not 0.0 < args.noise_photons <= MAX_NOISE_PHOTONS:
-        raise ValidationError(
-            f"noise-photons: must lie in (0, {MAX_NOISE_PHOTONS:g}], got {args.noise_photons}"
-        )
+    theta, chi, phi = (check_range(name, getattr(args, name), ANGLES_DEG[name]) for name in ANGLES_DEG)
+    check_range("delta-steps", args.delta_steps, (_MIN_DELTA_STEPS, _MAX_COUNT), "[]")
+    check_range("seed", args.seed, (0, math.inf))
+    if args.noise_photons is not None:
+        check_range("noise-photons", args.noise_photons, (0.0, MAX_NOISE_PHOTONS), "(]")
 
     s1, s2, s3 = make_triplet(TripletParams(theta, chi, phi))
     if max(abs(inner(s3, s1)), abs(inner(s3, s2))) < 1e-12:

@@ -38,6 +38,20 @@ class DegenerateTriangle(ValueError):
     """Two spherical-triangle vertices are antipodal; geodesics are ill-defined."""
 
 
+def check_range(name, value, bounds, ends="[)"):
+    """``value`` if it lies between ``bounds`` = (low, high), each end closed ("[", "]") or open ("(", ")")
+    as ``ends`` says; an array or sequence if its least and greatest element do.  Else a ValueError
+    naming the field and the value as given (an array's failing extreme); NaN fails."""
+    low, high = bounds  # one pair, not two arguments: unpacking a pair into a call costs more than the check
+    least = most = value
+    if not isinstance(value, (float, int)):  # both extremes: an array holding -inf fails an open -inf end
+        least, most = np.min(value), np.max(value)
+    above = least > low or least == low and ends[0] == "["  # ends are read only at a bound; NaN fails both
+    if above and (most < high or most == high and ends[1] == "]"):
+        return value
+    raise ValueError(f"{name}: must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {most if above else least}")
+
+
 def wrap_angle(x):
     """Wrap an angle (or array of angles) into (-pi, pi]."""
     if isinstance(x, float):  # numpy's float64 too; Python's % rounds as np.mod does

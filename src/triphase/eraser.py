@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import QubitState, SymmetricState, bloch_from_qubit, inner, wrap_angle
+from .core import QubitState, SymmetricState, bloch_from_qubit, check_range, inner, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 MIN_FRINGE_SPAN_RAD = 0.9 * TWO_PI  # the samples of a fit span at least this much
@@ -52,9 +52,8 @@ class WaveplateSetting:
     def __post_init__(self):
         if self.kind not in _RETARDANCE:
             raise ValueError(f"kind must be 'quarter' or 'half', got {self.kind!r}")
-        if not math.isfinite(self.angle_deg):
-            raise ValueError(f"angle_deg must be finite, got {self.angle_deg}")
-        object.__setattr__(self, "angle_deg", float(self.angle_deg) % 180.0)
+        angle = check_range("angle_deg", self.angle_deg, (-math.inf, math.inf), "()")
+        object.__setattr__(self, "angle_deg", float(angle) % 180.0)
 
 
 def _jones(retardance: complex, angle_rad):
@@ -287,8 +286,7 @@ def fringe_trace(
     noise_mean_photons times the ideal maximum) that would overflow.  A batch
     allocates one complex field and one real intensity, the trace's own array.
     """
-    if not 0.0 < arm_ratio < math.inf:
-        raise ValueError(f"arm_ratio must be finite and positive, got {arm_ratio}")
+    check_range("arm_ratio", arm_ratio, (0.0, math.inf), "()")
     delta = np.asarray(delta_rad, dtype=float)
     if delta.ndim != 1:
         raise ValueError("delta_rad must be 1-d")
@@ -315,8 +313,7 @@ def fringe_trace(
     ideal *= ideal  # in place here and below, on this call's own array
     if noise_mean_photons is None:
         return FringeTrace._trusted(delta, ideal, None)
-    if not 0.0 < noise_mean_photons <= MAX_NOISE_PHOTONS:
-        raise ValueError(f"noise_mean_photons {noise_mean_photons} is not in (0, {MAX_NOISE_PHOTONS:g}]")
+    check_range("noise_mean_photons", noise_mean_photons, (0.0, MAX_NOISE_PHOTONS), "(]")
     if rng is None:
         raise ValueError("Poisson noise requires an explicit rng seed or Generator")
     # noise_mean_photons * ideal below must not overflow; in Python floats an overflow is inf, not a warning

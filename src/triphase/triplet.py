@@ -19,9 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import QubitState, symmetrize, wrap_angle
+from .core import QubitState, check_range, symmetrize, wrap_angle
 
 TWO_PI = 2.0 * math.pi
+# the domain [low, high) of each angle (deg) of the family
+ANGLES_DEG = {"theta": (0.0, 180.0), "chi": (0.0, 360.0), "phi": (0.0, 360.0)}
 
 
 class GridTooCoarse(RuntimeError):
@@ -52,14 +54,9 @@ class TripletParams:
             except ValueError:
                 shapes = ", ".join(str(np.shape(x)) for x in (theta, chi, phi))
                 raise ValueError(f"theta_deg, chi_deg, phi_deg: shapes {shapes} do not broadcast") from None
-            # an array passes where its extremes pass (NaN stays NaN)
-            theta, chi, phi = (np.min(x) if np.min(x) < 0.0 else np.max(x) for x in (theta, chi, phi))
-        if not 0.0 <= theta < 180.0:
-            raise ValueError(f"theta_deg must lie in [0, 180), got {theta}")
-        if not 0.0 <= chi < 360.0:
-            raise ValueError(f"chi_deg must lie in [0, 360), got {chi}")
-        if not 0.0 <= phi < 360.0:
-            raise ValueError(f"phi_deg must lie in [0, 360), got {phi}")
+        check_range("theta_deg", theta, ANGLES_DEG["theta"])
+        check_range("chi_deg", chi, ANGLES_DEG["chi"])
+        check_range("phi_deg", phi, ANGLES_DEG["phi"])
 
 
 def _anchor_parts(theta, m=math, cx=complex):
@@ -109,7 +106,11 @@ def make_triplet(p: TripletParams):
 
 def analytic_total_phase(theta_deg, chi_deg, phi_deg):
     """Qutrit three-vertex phase of the standard triplet: sum of the two
-    qubit phases.  Principal-branch value in (-2pi, 2pi); broadcasts."""
+    qubit phases.  Principal-branch value in (-2pi, 2pi); broadcasts.
+    ValueError naming the angle for NaN or +-inf, in a scalar or any element."""
+    for name, x in ("theta_deg", theta_deg), ("chi_deg", chi_deg), ("phi_deg", phi_deg):
+        if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+            check_range(name, x, (-math.inf, math.inf), "()")
     t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
     # chi modulo 720, its period, lest a huge chi swamp phi
     quarter, half = np.fmod(np.asarray(chi_deg, dtype=float), 720.0) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
@@ -245,10 +246,8 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
     step is below pi/2.  GridTooCoarse is raised if a step of pi/2 or more
     is still left (curves too steep for floating point, theta close to 0).
     """
-    if not 0.0 < theta_deg < 180.0:
-        raise ValueError(f"theta_deg must lie in (0, 180) for a sweep, got {theta_deg}")
-    if not math.isfinite(chi_deg):
-        raise ValueError(f"chi_deg must be finite, got {chi_deg}")
+    check_range("theta_deg", theta_deg, ANGLES_DEG["theta"], "()")  # theta = 0 has no curve to sweep
+    check_range("chi_deg", chi_deg, (-math.inf, math.inf), "()")  # taken modulo 720 below
     grid = np.asarray(phi_grid_deg, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("phi grid must be one-dimensional with at least 3 points")

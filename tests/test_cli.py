@@ -84,6 +84,13 @@ class TestPhaseCurve:
         assert code == 2
         assert "theta" in err
 
+    def test_rejected_theta_is_printed_exactly(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run(
+            ["phase-curve", "--theta", "180.0000001", "--chi", "120"], tmp_path, monkeypatch, capsys
+        )
+        assert code == 2
+        assert err == "error: theta: must lie in (0, 180), got 180.0000001\n"
+
     def test_bad_phi_specs_rejected(self, tmp_path, monkeypatch, capsys):
         for spec in ("10:5:100", "0:360:2", "0:360", "a:b:c", "0:inf:5", "nan:360:5",
                      "-inf:0:5", "0:360:1000001", "0:1e12:3", "-2e7:2e7:3", "0:5e-324:3",
@@ -147,23 +154,24 @@ class TestFringe:
 
     def test_validation_errors(self, tmp_path, monkeypatch, capsys):
         cases = [
-            (["--delta-steps", "2"], "delta-steps"),
-            (["--delta-steps", "3"], "delta-steps"),  # spans less than the fit needs
-            (["--delta-steps", "9"], "delta-steps"),
-            (["--delta-steps", "1000001"], "delta-steps"),  # rejected before any allocation
-            (["--noise-photons", "100", "--seed", "-1"], "seed"),
-            (["--noise-photons", "-1"], "noise-photons"),
-            (["--noise-photons", "inf"], "noise-photons"),
-            (["--noise-photons", "nan"], "noise-photons"),
-            (["--noise-photons", "2e15"], "noise-photons"),
-            (["--theta", "200"], "theta"),
-            (["--phi", "400"], "phi"),
+            (["--delta-steps", "2"], "delta-steps", "2"),
+            (["--delta-steps", "3"], "delta-steps", "3"),  # spans less than the fit needs
+            (["--delta-steps", "9"], "delta-steps", "9"),
+            (["--delta-steps", "1000001"], "delta-steps", "1000001"),  # rejected before any allocation
+            (["--noise-photons", "100", "--seed", "-1"], "seed", "-1"),
+            (["--noise-photons", "-1"], "noise-photons", "-1.0"),
+            (["--noise-photons", "inf"], "noise-photons", "inf"),
+            (["--noise-photons", "nan"], "noise-photons", "nan"),
+            (["--noise-photons", "2e15"], "noise-photons", "2000000000000000.0"),
+            (["--theta", "200"], "theta", "200.0"),
+            (["--phi", "400"], "phi", "400.0"),
         ]
-        for extra, field in cases:
+        for extra, field, value in cases:
             args = ["fringe", "--theta", "10", "--chi", "120", *extra]
             code, _, err = run(args, tmp_path, monkeypatch, capsys)
             assert code == 2, extra
             assert err.startswith(f"error: {field}:"), err
+            assert err.endswith(f", got {value}\n"), err  # the value exactly as read
 
     def test_non_numeric_phi_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -3,6 +3,7 @@ decomposition, Bloch geometry."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from triphase.core import (
     SymmetricState,
     UndefinedPhase,
     bloch_from_qubit,
+    check_range,
     inner,
     majorana_decompose,
     random_states,
@@ -40,6 +42,48 @@ def haar_qubit(rng):
 
 def haar_symmetric(rng):
     return SymmetricState(*random_states(rng, (), 3))
+
+
+@pytest.mark.parametrize("ends", ["[)", "(]", "[]", "()"])
+def test_check_range_closes_the_ends_it_names(ends):
+    for value, inside in ((2.0, ends[0] == "["), (5.0, ends[1] == "]"), (2.0000000000000004, True), (4.999999999999999, True)):
+        if inside:
+            assert check_range("x", value, (2.0, 5.0), ends) is value
+            array = np.array([3.0, value, 4.0])
+            assert check_range("x", array, (2.0, 5.0), ends) is array
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"x: must lie in {ends[0]}2, 5{ends[1]}, got {value}")):
+                check_range("x", value, (2.0, 5.0), ends)
+            with pytest.raises(ValueError, match=re.escape(f"got {value}")):
+                check_range("x", np.array([3.0, value, 4.0]), (2.0, 5.0), ends)
+
+
+@pytest.mark.parametrize("value, low, high, ends, shown", [
+    (math.nan, 0.0, 1.0, "[]", "nan"),
+    (math.nan, -math.inf, math.inf, "[]", "nan"),
+    (math.inf, 0.0, math.inf, "[)", "inf"),
+    (math.inf, -math.inf, math.inf, "()", "inf"),
+    (-math.inf, -math.inf, 0.0, "(]", "-inf"),
+    (np.array([-1.0, 0.5]), 0.0, 1.0, "[]", "-1.0"),  # the least element alone fails
+    (np.array([0.5, 2.0]), 0.0, 1.0, "[]", "2.0"),  # the greatest element alone fails
+    (np.array([-math.inf, 0.0]), -math.inf, math.inf, "()", "-inf"),  # -inf against an open -inf end
+    (np.array([0.0, math.inf]), -math.inf, math.inf, "()", "inf"),
+    (np.array([0.5, math.nan, 0.25]), 0.0, 1.0, "[]", "nan"),
+    (np.array(math.nan), 0.0, 1.0, "[]", "nan"),
+    (1000001, 10, 10**6, "[]", "1000001"),  # exactly: with %g it would read 1e+06, a value inside
+    (180.0000001, 0.0, 180.0, "()", "180.0000001"),
+    (-1, 0, math.inf, "[)", "-1"),
+])
+def test_check_range_rejects_with_the_value_exactly(value, low, high, ends, shown):
+    with pytest.raises(ValueError) as exc:
+        check_range("field", value, (low, high), ends)
+    assert str(exc.value) == f"field: must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {shown}"
+
+
+def test_check_range_passes_infinite_values_at_closed_infinite_ends():
+    assert check_range("x", math.inf, (0.0, math.inf), "(]") == math.inf
+    assert check_range("x", -math.inf, (-math.inf, 0.0), "[]") == -math.inf
+    assert check_range("x", 2**64, (0, math.inf)) == 2**64
 
 
 class TestStates:

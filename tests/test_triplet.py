@@ -254,6 +254,18 @@ class TestAnalyticPhase:
                 assert f(*args).tobytes() == want.tobytes()
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_are_named(self, bad):
+        for f in (analytic_total_phase, total_phase_continuous):
+            for k, name in enumerate(("theta_deg", "chi_deg", "phi_deg")):
+                for as_array in (False, True):
+                    args = [np.array([10.0, 20.0, 30.0]), 120.0, np.array([0.0, 60.0, 90.0])] if as_array else [10.0, 120.0, 60.0]
+                    args[k] = np.array([30.0, bad, 90.0]) if as_array else bad
+                    with pytest.raises(ValueError, match=re.escape(f"{name}: must lie in (-inf, inf), got {bad}")):
+                        f(*args)
+
+
 class TestContinuousBranch:
     def test_matches_principal_modulo_two_pi(self):
         phis = np.linspace(0, 720, 1441)
