@@ -32,7 +32,6 @@ from .eraser import (
     extract_fringe_phase,
     fringe_trace,
     phase_variation,
-    projection_amplitude,
     projection_chain_amplitude,
     solve_waveplates,
     waveplate_matrix,

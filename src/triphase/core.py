@@ -41,10 +41,12 @@ class DegenerateTriangle(ValueError):
 def check_range(name, value, bounds, ends="[)"):
     """``value`` if it lies between ``bounds`` = (low, high), each end closed ("[", "]") or open ("(", ")")
     as ``ends`` says; an array or sequence if its least and greatest element do.  Else a ValueError
-    naming the field and the value as given (an array's failing extreme); NaN fails."""
+    naming the field and the value as given (an array's failing extreme), or that it is empty; NaN fails."""
     low, high = bounds  # one pair, not two arguments: unpacking a pair into a call costs more than the check
     least = most = value
     if not isinstance(value, (float, int)):  # both extremes: an array holding -inf fails an open -inf end
+        if not np.size(value):
+            raise ValueError(f"{name}: must not be empty")
         least, most = np.min(value), np.max(value)
     above = least > low or least == low and ends[0] == "["  # ends are read only at a bound; NaN fails both
     if above and (most < high or most == high and ends[1] == "]"):

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import QubitState, SymmetricState, bloch_from_qubit, check_range, inner, wrap_angle
+from .core import QubitState, SymmetricState, bloch_from_qubit, check_range, inner, symmetrize, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 MIN_FRINGE_SPAN_RAD = 0.9 * TWO_PI  # the samples of a fit span at least this much
@@ -95,8 +95,10 @@ def solve_waveplates(target: QubitState, kinds: Sequence[str], start: QubitState
     target's orthogonal complement, is least at one of a few candidate angles
     in closed form.  Raises Unreachable when it exceeds 1e-6 (e.g. a single
     half-wave plate cannot make circular light from linear light), and
-    ValueError for other chains.
+    ValueError for other chains.  ``target`` and ``start`` are QubitStates or
+    two amplitudes each, wrapped (and so checked) as QubitState(*x).
     """
+    target, start = QubitState(*target), QubitState(*start)
     kinds = list(kinds)
     if tuple(kinds) not in _SOLVABLE_CHAINS:
         raise ValueError(f"chain {kinds} is not supported: use one plate, or two with a half-wave plate")
@@ -137,24 +139,20 @@ def solve_waveplates(target: QubitState, kinds: Sequence[str], start: QubitState
     return WaveplateSolution(settings, least)
 
 
+# Kept for perfbench/workloads.py, which calls it; not exported from triphase: use inner(projector, arm).
 def projection_amplitude(arm_state: SymmetricState, projector_state: SymmetricState) -> complex:
     """<projector|arm> in the symmetric subspace."""
     return inner(projector_state, arm_state)
 
 
-def _linear_angle_deg(state):
-    """Polarization angle of linear states (real amplitudes up to a global phase)."""
-    v = np.asarray(state)
-    ref = np.take_along_axis(v, np.argmax(np.abs(v), -1)[..., None], -1)
-    u = v * np.exp(-1j * np.angle(ref))
-    if float(np.max(np.abs(u.imag))) > 1e-9:
+def _half_wave_onto(state, offset):
+    """Jones matrix of the half-wave plate that turns the linear ``state`` onto
+    H (offset 0) or V (offset pi/4): a plate at a quarter of its Bloch azimuth
+    atan2(x, z), plus the offset.  ValueError if |y| > 1e-9."""
+    x, y, z = np.moveaxis(np.asarray(bloch_from_qubit(state)), -1, 0)
+    if np.max(np.abs(y)) > 1e-9:
         raise ValueError("state is not a linear polarization")
-    return np.degrees(np.arctan2(u[..., 1].real, u[..., 0].real))
-
-
-# columns: |HH>, (|HV>+|VH>)/sqrt(2), |VV> in the product basis (|HH>, |HV>, |VH>, |VV>)
-_SYM_BASIS = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]) / np.array([1.0, math.sqrt(2.0), 1.0])
-_SYM_HV = _SYM_BASIS[:, 1]
+    return _jones(_RETARDANCE["half"], np.arctan2(x, z) / 4.0 + offset)
 
 
 def projection_chain_amplitude(arm_state, psi3, psi3_mirror):
@@ -162,19 +160,17 @@ def projection_chain_amplitude(arm_state, psi3, psi3_mirror):
 
     Half-wave plates turn psi3 onto H, the transmitted port of the polarizing
     splitter, and psi3_mirror onto V, the reflected port; the up-conversion
-    crystal then projects onto the symmetric HV state.  Equals the direct
-    projection onto symmetrize(psi3, psi3_mirror) up to one arm-independent
-    global phase.  ValueError unless psi3 and psi3_mirror are linear, as the
-    standard triplet's are.  States are wrappers or arrays that broadcast
-    over their leading axes; a batch gives an array.
+    crystal then projects onto the symmetric HV state.  The chain's bra is
+    the symmetrization of the H row of the first plate and the V row of the
+    second: rows of a unitary are unit vectors, and these are real, so each
+    is its own ket.  Equals the direct projection onto symmetrize(psi3,
+    psi3_mirror) up to one arm-independent global phase.  ValueError unless
+    psi3 and psi3_mirror are linear, as the standard triplet's are.  States
+    are wrappers or arrays that broadcast over their leading axes; a batch
+    gives an array.
     """
-    hwp_h = np.radians(_linear_angle_deg(psi3) / 2.0)
-    hwp_v = np.radians((_linear_angle_deg(psi3_mirror) + 90.0) / 2.0)
-    half = _RETARDANCE["half"]
-    single = np.stack([_jones(half, hwp_h)[..., 0, :], _jones(half, hwp_v)[..., 1, :]], -2)  # H, V ports
-    pair = np.einsum("...ij,...kl->...ikjl", single, single).reshape(single.shape[:-2] + (4, 4))
-    row = _SYM_HV @ pair  # real _SYM_HV: the chain's bra is conj(row), of the same norm
-    out = np.sum(row @ _SYM_BASIS * np.asarray(arm_state), -1) / np.linalg.norm(row, axis=-1)
+    h_plate, v_plate = _half_wave_onto(psi3, 0.0), _half_wave_onto(psi3_mirror, math.pi / 4.0)
+    out = inner(symmetrize(h_plate[..., 0, :], v_plate[..., 1, :]), arm_state)
     return complex(out) if np.ndim(out) == 0 else out
 
 

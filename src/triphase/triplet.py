@@ -46,9 +46,6 @@ class TripletParams:
     def __post_init__(self):
         theta, chi, phi = self.theta_deg, self.chi_deg, self.phi_deg
         if isinstance(theta, np.ndarray) or isinstance(chi, np.ndarray) or isinstance(phi, np.ndarray):
-            for name, x in (("theta_deg", theta), ("chi_deg", chi), ("phi_deg", phi)):
-                if np.size(x) == 0:
-                    raise ValueError(f"{name} must not be empty")
             try:
                 np.broadcast_shapes(np.shape(theta), np.shape(chi), np.shape(phi))
             except ValueError:
@@ -107,8 +104,10 @@ def make_triplet(p: TripletParams):
 def analytic_total_phase(theta_deg, chi_deg, phi_deg):
     """Qutrit three-vertex phase of the standard triplet: sum of the two
     qubit phases.  Principal-branch value in (-2pi, 2pi); broadcasts.
-    ValueError naming the angle for NaN or +-inf, in a scalar or any element."""
-    for name, x in ("theta_deg", theta_deg), ("chi_deg", chi_deg), ("phi_deg", phi_deg):
+    ValueError naming the angle for a theta outside [0, 180) (an empty theta
+    array too), or a NaN or +-inf chi or phi, in a scalar or any element."""
+    check_range("theta_deg", theta_deg, ANGLES_DEG["theta"])
+    for name, x in ("chi_deg", chi_deg), ("phi_deg", phi_deg):
         if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
             check_range(name, x, (-math.inf, math.inf), "()")
     t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)

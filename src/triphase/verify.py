@@ -34,7 +34,6 @@ from .eraser import (
     extract_fringe_phase,
     fringe_trace,
     phase_variation,
-    projection_amplitude,
     projection_chain_amplitude,
 )
 from .triplet import (
@@ -285,7 +284,7 @@ def criterion_projection_chain() -> list[Measurement]:
 
     def passes(angles):
         arm1, arm2, proj = make_triplet(TripletParams(*angles.T))
-        d1, d2 = projection_amplitude(arm1, proj), projection_amplitude(arm2, proj)
+        d1, d2 = inner(proj, arm1), inner(proj, arm2)
         return np.minimum(abs(d1), abs(d2)) >= 0.05
 
     settings, _ = _first_passing(
@@ -294,7 +293,7 @@ def criterion_projection_chain() -> list[Measurement]:
     params = TripletParams(*settings.T)
     (arm1, arm2, proj), (_, _, psi3, psi3m) = make_triplet(params), make_states(params)
     arms = np.stack([arm1, arm2])
-    direct, chain = projection_amplitude(arms, proj), projection_chain_amplitude(arms, psi3, psi3m)
+    direct, chain = inner(proj, arms), projection_chain_amplitude(arms, psi3, psi3m)
     ratio_err = np.abs(chain[0] / chain[1] - direct[0] / direct[1])
     over = f"{len(settings)} settings"
     return [

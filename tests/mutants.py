@@ -8,9 +8,10 @@ and the tier-1 suite on the copy.  It prints one Markdown table row per
 mutant: the failed verify criteria, and the failed tier-1 tests, of which
 how many run on every machine (the byte pins and the SIMD-dispatch check
 hold or run only on some machines).  The first row is the tree as it is,
-which must pass both.
+which must pass both.  It exits 1 if the tree fails either, or if some
+mutant fails no tier-1 test that runs on every machine.
 
-Run from the repository root (it takes some 5 minutes):
+Run from the repository root (it takes some 8 minutes):
 
     python tests/mutants.py
 
@@ -65,6 +66,10 @@ MUTANTS = [
      ("core.py", 'above = least > low or least == low and ends[0] == "["', "above = least > low")),
     ("`check_range`: an array checked by its least element only",
      ("core.py", "least, most = np.min(value), np.max(value)", "least = most = np.min(value)")),
+    ("chain: plate angle half the Bloch azimuth",
+     ("eraser.py", "np.arctan2(x, z) / 4.0", "np.arctan2(x, z) / 2.0")),
+    ("chain: V row from psi3's plate",
+     ("eraser.py", "v_plate[..., 1, :]", "h_plate[..., 1, :]")),
 ]
 
 
@@ -83,7 +88,7 @@ def _run(tree: Path, *args: str) -> str:
     return done.stdout + done.stderr
 
 
-def probe(label: str, *edits) -> str:
+def probe(label: str, *edits) -> tuple[str, bool, bool]:
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -103,15 +108,27 @@ def probe(label: str, *edits) -> str:
     verify_cell = f"fails ({', '.join(failed_criteria)})" if failed_criteria else "passes"
     tier1_cell = f"{len(failed)} fail, {len(everywhere)} on every machine" if failed else "**all pass**"
     summary = re.findall(r"^=* ?(\d+ (?:passed|failed).*?)(?: =*)?$", tier1, re.MULTILINE)
-    return f"| {label} | {verify_cell} | {tier1_cell} | {summary[-1] if summary else '?'} |"
+    row = f"| {label} | {verify_cell} | {tier1_cell} | {summary[-1] if summary else '?'} |"
+    # a suite that ran no test at all fails the tree and catches a mutant
+    return row, bool(summary) and not failed_criteria and not failed, bool(everywhere) or not summary
 
 
 def main() -> int:
+    """Print the table; 1 if the tree itself fails verify or tier-1, or if a
+    mutant fails no tier-1 test that runs on every machine, else 0."""
     print("| mutant | `verify` | tier-1 | pytest summary |")
     print("|---|---|---|---|")
-    for label, *edits in MUTANTS:
-        print(probe(label, *edits), flush=True)
-    return 0
+    problems = []
+    for k, (label, *edits) in enumerate(MUTANTS):
+        row, clean, caught = probe(label, *edits)
+        print(row, flush=True)
+        if k == 0 and not clean:
+            problems.append("the tree itself fails verify or tier-1")
+        elif k > 0 and not caught:
+            problems.append(f"no tier-1 test that runs on every machine catches: {label}")
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -80,6 +80,13 @@ def test_check_range_rejects_with_the_value_exactly(value, low, high, ends, show
     assert str(exc.value) == f"field: must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {shown}"
 
 
+@pytest.mark.parametrize("empty", [np.array([]), np.empty((2, 0)), []], ids=["1-d", "2-d", "list"])
+def test_check_range_names_an_empty_array(empty):
+    with pytest.raises(ValueError) as exc:
+        check_range("field", empty, (0.0, 1.0))
+    assert str(exc.value) == "field: must not be empty"
+
+
 def test_check_range_passes_infinite_values_at_closed_infinite_ends():
     assert check_range("x", math.inf, (0.0, math.inf), "(]") == math.inf
     assert check_range("x", -math.inf, (-math.inf, 0.0), "[]") == -math.inf

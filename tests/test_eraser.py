@@ -31,7 +31,6 @@ from triphase.eraser import (
     extract_fringe_phase,
     fringe_trace,
     phase_variation,
-    projection_amplitude,
     projection_chain_amplitude,
     solve_waveplates,
     waveplate_matrix,
@@ -67,7 +66,7 @@ def poisson_fit_covariance(delta, lam):
 
 def expected_counts(s1, s2, s3, delta, mean_photons):
     """The Poisson means of fringe_trace's noisy samples."""
-    r, q = projection_amplitude(s1, s3), projection_amplitude(s2, s3)
+    r, q = inner(s3, s1), inner(s3, s2)
     return mean_photons * np.abs(r * np.exp(1j * delta) + q) ** 2 / (abs(r) + abs(q)) ** 2
 
 
@@ -79,6 +78,8 @@ class TestWaveplates:
             with pytest.raises(ValueError, match="angle_deg"):
                 WaveplateSetting("half", angle)
         assert WaveplateSetting("half", 200.0).angle_deg == pytest.approx(20.0)
+        with pytest.raises(ValueError, match="^angle_deg: must not be empty$"):
+            WaveplateSetting("half", np.array([]))
 
     def test_hwp_at_zero(self):
         w = waveplate_matrix(WaveplateSetting("half", 0))
@@ -176,6 +177,20 @@ class TestSolveWaveplates:
         assert scan_min == pytest.approx(0.1113, abs=1e-4)
         assert scan_min <= printed <= 0.12
 
+    def test_array_states_solve_and_are_checked_as_their_wrappers(self):
+        rng = np.random.default_rng(63)
+        for _ in range(10):
+            target, start = random_states(rng, (), 2), np.array([1.0, 0.0])
+            want = solve_waveplates(QubitState(*target), ("quarter", "half"), QubitState(*start))
+            assert solve_waveplates(target, ("quarter", "half"), start) == want
+            assert solve_waveplates(QubitState(*target), ("quarter", "half"), start) == want
+        with pytest.raises(ValueError, match="^qubit amplitudes are not normalized"):
+            solve_waveplates(np.array([1.0, 1.0]), ["half"], H)
+        with pytest.raises(ValueError, match="^qubit amplitudes are not normalized"):
+            solve_waveplates(D, ["half"], np.array([0.0, 0.0]))
+        with pytest.raises(TypeError, match="^QubitState takes 2 components, got 3$"):
+            solve_waveplates(np.array([1.0, 0.0, 0.0]), ["half"], H)
+
     @pytest.mark.parametrize(
         "kinds", [[], ["quarter", "quarter"], ["quarter", "half", "quarter"]], ids=["empty", "qq", "three"]
     )
@@ -187,12 +202,12 @@ class TestSolveWaveplates:
 class TestProjection:
     def test_self_projection_unit_magnitude(self):
         s = SymmetricState.of(1, 1j, 0.5)
-        assert abs(projection_amplitude(s, s)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(inner(s, s)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_projection_zero(self):
         a = SymmetricState(1, 0, 0)
         b = SymmetricState(0, 1, 0)
-        assert projection_amplitude(a, b) == 0.0
+        assert inner(b, a) == 0.0
 
     def test_standard_triplet_amplitude_oracle(self):
         # independent oracle: raw numpy expansion of the states
@@ -207,14 +222,35 @@ class TestProjection:
         proj4 = np.kron(psi3, psi3m) + np.kron(psi3m, psi3)
         proj4 = proj4 / np.linalg.norm(proj4)
         expected = np.vdot(proj4, arm4)
-        assert abs(projection_amplitude(arm, proj) - expected) < 1e-12
+        assert abs(inner(proj, arm) - expected) < 1e-12
 
 
 class TestProjectionChain:
     def test_rejects_non_linear_states(self):
         arm = symmetrize(H, D)
-        with pytest.raises(ValueError, match="not a linear polarization"):
-            projection_chain_amplitude(arm, R, D)
+        elliptical = np.array([1.0, 1e-8j]) / math.hypot(1.0, 1e-8)  # Bloch y 2e-8
+        for psi3, psi3_mirror in ((R, D), (D, QubitState.of(1, 0.2j)), (D, elliptical)):
+            with pytest.raises(ValueError, match="not a linear polarization"):
+                projection_chain_amplitude(arm, psi3, psi3_mirror)
+
+    def test_chain_equals_direct_projection_on_haar_random_arms(self):
+        # one arm-independent phase per setting: the chain's amplitude of the projector itself
+        rng = np.random.default_rng(41)
+        angles = rng.uniform((0.0, 0.0, 0.0), (178.0, 360.0, 360.0), size=(300, 3))
+        _, _, psi3, psi3m = make_states(TripletParams(*angles.T))
+        proj = symmetrize(psi3, psi3m)
+        phase = projection_chain_amplitude(proj, psi3, psi3m)
+        assert np.max(np.abs(np.abs(phase) - 1.0)) < 1e-15
+        arms = random_states(rng, (4, 300), 3)
+        chain = projection_chain_amplitude(arms, psi3, psi3m)
+        assert np.max(np.abs(chain - phase * inner(proj, arms))) < 1e-14
+
+    def test_global_phases_of_linear_states_keep_the_amplitude(self):
+        psi1, psi2, psi3, psi3m = make_states(TripletParams(30, 100, 50))
+        arms = np.stack([symmetrize(psi1, psi1).vec, symmetrize(psi2, psi2).vec])
+        want = np.abs(projection_chain_amplitude(arms, psi3, psi3m))
+        for p3, p3m in ((1j * psi3.vec, psi3m), (psi3, -psi3m.vec), (QubitState(*(1j * psi3.vec)), QubitState(*(-psi3m.vec)))):
+            assert np.max(np.abs(np.abs(projection_chain_amplitude(arms, p3, p3m)) - want)) < 1e-15
 
     def test_chain_equals_direct_projection(self):
         rng = np.random.default_rng(40)
@@ -223,7 +259,7 @@ class TestProjectionChain:
             psi1, psi2, psi3, psi3m = make_states(p)
             proj = symmetrize(psi3, psi3m)
             arms = [symmetrize(psi1, psi1), symmetrize(psi2, psi2)]
-            direct = [projection_amplitude(a, proj) for a in arms]
+            direct = [inner(proj, a) for a in arms]
             chained = [projection_chain_amplitude(a, psi3, psi3m) for a in arms]
             for c, d in zip(chained, direct):
                 assert abs(abs(c) - abs(d)) < 1e-12
@@ -236,7 +272,7 @@ class TestFringe:
         s1, _, s3 = make_triplet(TripletParams(10, 120, 20))
         delta = default_delta_grid(256)
         trace = fringe_trace(s1, s1, s3, delta)
-        amp = abs(projection_amplitude(s1, s3))
+        amp = abs(inner(s3, s1))
         expected = 2 * amp**2 * (1 + np.cos(delta))
         assert np.allclose(trace.intensity, expected, atol=1e-12)
         assert trace.intensity.argmax() == 0
@@ -250,8 +286,8 @@ class TestFringe:
 
     def test_maximum_at_overlap_phase_difference(self):
         s1, s2, s3 = make_triplet(TripletParams(25, 70, 40))
-        r = projection_amplitude(s1, s3)
-        q = projection_amplitude(s2, s3)
+        r = inner(s3, s1)
+        q = inner(s3, s2)
         predicted = wrap_angle(np.angle(q) - np.angle(r))
         delta = default_delta_grid(4096)
         trace = fringe_trace(s1, s2, s3, delta)
@@ -262,8 +298,8 @@ class TestFringe:
 
     def test_intensity_bounds(self):
         s1, s2, s3 = make_triplet(TripletParams(25, 70, 40))
-        r = abs(projection_amplitude(s1, s3))
-        q = abs(projection_amplitude(s2, s3))
+        r = abs(inner(s3, s1))
+        q = abs(inner(s3, s2))
         trace = fringe_trace(s1, s2, s3, default_delta_grid(512))
         assert np.all(trace.intensity >= -1e-15)
         assert np.all(trace.intensity <= (r + q) ** 2 + 1e-12)
@@ -341,6 +377,8 @@ class TestFringe:
             for bad in (0.0, -1.0, np.nan, np.inf):
                 with pytest.raises(ValueError, match="^arm_ratio"):
                     fringe_trace(s1, s2, s3, default_delta_grid(), arm_ratio=bad)
+            with pytest.raises(ValueError, match="^arm_ratio: must not be empty$"):
+                fringe_trace(s1, s2, s3, default_delta_grid(), arm_ratio=np.array([]))
 
     def test_built_traces_hold_what_the_checked_constructor_holds(self):
         # fringe_trace builds its traces unchecked; FringeTrace would keep every field as it is

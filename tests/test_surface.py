@@ -42,7 +42,6 @@ EXPORTS = [
     "make_states",
     "make_triplet",
     "phase_variation",
-    "projection_amplitude",
     "projection_chain_amplitude",
     "random_states",
     "solve_waveplates",

@@ -100,8 +100,10 @@ class TestMakeStates:
             TripletParams(10, 360, 0)
         with pytest.raises(ValueError):
             TripletParams(10, 0, -5)
-        with pytest.raises(ValueError, match="theta_deg must not be empty"):
+        with pytest.raises(ValueError, match="theta_deg: must not be empty"):
             TripletParams(np.array([]), 0.0, 0.0)
+        with pytest.raises(ValueError, match="phi_deg: must not be empty"):
+            TripletParams(10.0, np.array([0.0]), np.array([]))
         with pytest.raises(ValueError, match=re.escape("shapes (), (1, 2), (3,) do not broadcast")):
             TripletParams(10.0, np.ones((1, 2)), np.ones(3))
 
@@ -262,8 +264,25 @@ class TestAnalyticPhase:
                 for as_array in (False, True):
                     args = [np.array([10.0, 20.0, 30.0]), 120.0, np.array([0.0, 60.0, 90.0])] if as_array else [10.0, 120.0, 60.0]
                     args[k] = np.array([30.0, bad, 90.0]) if as_array else bad
-                    with pytest.raises(ValueError, match=re.escape(f"{name}: must lie in (-inf, inf), got {bad}")):
+                    domain = "[0, 180)" if name == "theta_deg" else "(-inf, inf)"
+                    with pytest.raises(ValueError, match=re.escape(f"{name}: must lie in {domain}, got {bad}")):
                         f(*args)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [500, 180, -1])
+    def test_theta_outside_the_family_is_named(self, bad):
+        # the family's theta domain is [0, 180): a finite theta outside it has no curve
+        for f in (analytic_total_phase, total_phase_continuous):
+            for theta in (bad, float(bad), np.array([30.0, bad, 90.0])):
+                with pytest.raises(ValueError, match=re.escape(f"theta_deg: must lie in [0, 180), got {bad}")):
+                    f(theta, 120.0, np.array([0.0, 60.0, 90.0]))
+
+    def test_empty_angles(self):
+        # an empty theta is a range check with nothing to check; empty chi or phi arrays broadcast
+        for f in (analytic_total_phase, total_phase_continuous):
+            with pytest.raises(ValueError, match="theta_deg: must not be empty"):
+                f(np.array([]), 120.0, 60.0)
+            assert f(10.0, 120.0, np.array([])).shape == (0,)
 
 
 class TestContinuousBranch:
