@@ -35,7 +35,6 @@ from .eraser import (
     MAX_NOISE_PHOTONS,
     MIN_FRINGE_SPAN_RAD,
     ZeroVisibility,
-    Unreachable,
     default_delta_grid,
     extract_fringe_phase,
     fringe_trace,
@@ -117,7 +116,7 @@ def phase_curve_json(curve: PhaseCurve, phi_range: tuple[float, float, int]) -> 
             "phi": {"start": phi_range[0], "stop": phi_range[1], "count": phi_range[2]},
         },
         "samples": [],
-        "jumps": [vars(j) for j in curve.jumps],
+        "jumps": [j._asdict() for j in curve.jumps],
     }
     return _json(doc, _curve_columns(curve))
 
@@ -260,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ZeroVisibility, GridTooCoarse, Unreachable) as exc:
+    except (ZeroVisibility, GridTooCoarse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

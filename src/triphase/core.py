@@ -40,13 +40,17 @@ class DegenerateTriangle(ValueError):
 
 def check_range(name, value, bounds, ends="[)"):
     """``value`` if it lies between ``bounds`` = (low, high), each end closed ("[", "]") or open ("(", ")")
-    as ``ends`` says; an array or sequence if its least and greatest element do.  Else a ValueError
-    naming the field and the value as given (an array's failing extreme), or that it is empty; NaN fails."""
+    as ``ends`` says; an array, or a list or tuple as its array, if its least and greatest element do.
+    Else a ValueError naming the field and the value as given (an array's failing extreme), or that it
+    is empty or complex; NaN fails."""
     low, high = bounds  # one pair, not two arguments: unpacking a pair into a call costs more than the check
     least = most = value
     if not isinstance(value, (float, int)):  # both extremes: an array holding -inf fails an open -inf end
+        value = np.asarray(value) if isinstance(value, (list, tuple)) else value
         if not np.size(value):
             raise ValueError(f"{name}: must not be empty")
+        if np.iscomplexobj(value):  # numpy would order it by real part, then imaginary part
+            raise ValueError(f"{name}: must be real, got {value}")
         least, most = np.min(value), np.max(value)
     above = least > low or least == low and ends[0] == "["  # ends are read only at a bound; NaN fails both
     if above and (most < high or most == high and ends[1] == "]"):
@@ -64,14 +68,35 @@ def wrap_angle(x):
     return w
 
 
-class _Unit(tuple):
+class Record(tuple):
+    """A named tuple whose ``__new__`` checks its fields.  A record class
+    derives from Record, then from its ``namedtuple``, so that ``_make`` and
+    ``_replace`` build through that check too.  A record is not a sequence
+    to join or repeat: ``+`` and ``*`` raise TypeError."""
+
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None
+
+    @classmethod
+    def _make(cls, fields):  # the named tuple's _make, which _replace calls, skips __new__
+        return cls(*fields)
+
+    @classmethod
+    def _trusted(cls, fields):
+        """The record of fields that the library has just made valid, unchecked."""
+        return tuple.__new__(cls, fields)
+
+
+class _Unit(Record):
     """A unit vector as the named tuple of its components (of type ``_kind``)."""
 
     __slots__ = ()
-    __add__ = __mul__ = __rmul__ = None  # not a sequence to join or repeat
 
     def __new__(cls, *parts):
-        self = tuple.__new__(cls, map(cls._kind, parts))
+        try:
+            self = tuple.__new__(cls, map(cls._kind, parts))
+        except TypeError:  # an array of components: a batch, not one state
+            raise ValueError(f"{cls.__name__} takes one state, one number per component, got {parts}") from None
         if len(self) != len(cls._fields):
             raise TypeError(f"{cls.__name__} takes {len(cls._fields)} components, got {len(self)}")
         n = 0.0
@@ -85,16 +110,6 @@ class _Unit(tuple):
     def of(cls, *parts):
         """Build a normalized state from arbitrary non-zero components."""
         return cls(*_unit(parts))
-
-    @classmethod
-    def _make(cls, parts):  # the named tuple's _make and _replace skip __new__
-        return cls(*parts)
-
-    @classmethod
-    def _trusted(cls, parts):
-        """The wrapper of parts, already of type _kind, that the library has
-        just made unit, unchecked."""
-        return tuple.__new__(cls, parts)
 
     @property
     def vec(self) -> np.ndarray:

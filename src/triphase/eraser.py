@@ -17,16 +17,15 @@ at angle L to the linear polarization at 2a - L with no extra phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import QubitState, SymmetricState, bloch_from_qubit, check_range, inner, symmetrize, wrap_angle
+from .core import QubitState, Record, SymmetricState, bloch_from_qubit, check_range, inner, symmetrize, wrap_angle
 
-TWO_PI = 2.0 * math.pi
-MIN_FRINGE_SPAN_RAD = 0.9 * TWO_PI  # the samples of a fit span at least this much
+MIN_FRINGE_SPAN_RAD = 0.9 * math.tau  # the samples of a fit span at least this much
 MIN_VISIBILITY = 1e-3  # a fringe fainter than this has no meaningful phase
 MAX_NOISE_PHOTONS = 1e15  # mean photons at the fringe maximum, well inside Poisson sampling
 _NON_FINITE = "arm_a, arm_b and projector must be finite, and arm_ratio times a projection below 1e154"
@@ -42,18 +41,19 @@ class ZeroVisibility(RuntimeError):
     """Fringe contrast too small for a meaningful phase."""
 
 
-@dataclass(frozen=True)
-class WaveplateSetting:
-    """A retarder kind plus its fast-axis angle from horizontal (degrees)."""
+class WaveplateSetting(Record, namedtuple("WaveplateSetting", "kind angle_deg")):
+    """A retarder kind plus its fast-axis angle from horizontal (degrees), kept in [0, 180)."""
 
-    kind: str
-    angle_deg: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _RETARDANCE:
-            raise ValueError(f"kind must be 'quarter' or 'half', got {self.kind!r}")
-        angle = check_range("angle_deg", self.angle_deg, (-math.inf, math.inf), "()")
-        object.__setattr__(self, "angle_deg", float(angle) % 180.0)
+    def __new__(cls, kind, angle_deg):
+        if kind not in _RETARDANCE:
+            raise ValueError(f"kind must be 'quarter' or 'half', got {kind!r}")
+        angle = check_range("angle_deg", angle_deg, (-math.inf, math.inf), "()")
+        try:
+            return tuple.__new__(cls, (kind, float(angle) % 180.0))
+        except TypeError:  # an array or sequence of angles
+            raise ValueError(f"angle_deg: takes one number, got {angle_deg}") from None
 
 
 def _jones(retardance: complex, angle_rad):
@@ -227,40 +227,29 @@ def _grid(delta: np.ndarray) -> _Grid:
     return _kept_grid(delta.tobytes()) if delta.size <= _KEPT_SAMPLES else _Grid(delta)
 
 
-@dataclass(frozen=True)
-class FringeTrace:
+class FringeTrace(Record, namedtuple("FringeTrace", "delta_rad intensity mean_photons")):
     """Sampled interference intensity versus the relative path phase delta.
 
     ``intensity`` has shape (..., N) over the N samples of a 1-d ``delta_rad``;
-    leading axes hold a batch of traces on the same grid.
+    leading axes hold a batch of traces on the same grid.  Both are kept as
+    float64 arrays.
     """
 
-    delta_rad: np.ndarray
-    intensity: np.ndarray
-    mean_photons: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        delta = np.asarray(self.delta_rad, dtype=float)
-        inten = np.asarray(self.intensity, dtype=float)
+    def __new__(cls, delta_rad, intensity, mean_photons=None):
+        delta = np.asarray(delta_rad, dtype=float)
+        inten = np.asarray(intensity, dtype=float)
         if delta.ndim != 1 or inten.shape[-1:] != delta.shape:
             raise ValueError("delta_rad must be 1-d and intensity of shape (..., len(delta_rad))")
         _grid(delta)
         if inten.size and not (inten.min() >= 0.0 and inten.max() < math.inf):
             raise ValueError("intensity must be finite and non-negative")
-        object.__setattr__(self, "delta_rad", delta)
-        object.__setattr__(self, "intensity", inten)
-
-    @classmethod
-    def _trusted(cls, delta, intensity, mean_photons):
-        """The trace that fringe_trace has just made on the float64 grid it
-        checked, of finite and non-negative samples by construction, unchecked."""
-        self = object.__new__(cls)
-        vars(self).update(delta_rad=delta, intensity=intensity, mean_photons=mean_photons)
-        return self
+        return tuple.__new__(cls, (delta, inten, mean_photons))
 
 
 def default_delta_grid(n: int = 100) -> np.ndarray:
-    return np.linspace(0.0, TWO_PI, n, endpoint=False)
+    return np.linspace(0.0, math.tau, n, endpoint=False)
 
 
 def fringe_trace(
@@ -282,7 +271,7 @@ def fringe_trace(
     noise_mean_photons times the ideal maximum) that would overflow.  A batch
     allocates one complex field and one real intensity, the trace's own array.
     """
-    check_range("arm_ratio", arm_ratio, (0.0, math.inf), "()")
+    arm_ratio = check_range("arm_ratio", arm_ratio, (0.0, math.inf), "()")  # a list or tuple as its array
     delta = np.asarray(delta_rad, dtype=float)
     if delta.ndim != 1:
         raise ValueError("delta_rad must be 1-d")
@@ -308,20 +297,24 @@ def fringe_trace(
     ideal = np.abs(ideal)  # rebinding the name releases the field
     ideal *= ideal  # in place here and below, on this call's own array
     if noise_mean_photons is None:
-        return FringeTrace._trusted(delta, ideal, None)
+        return FringeTrace._trusted((delta, ideal, None))  # float64 grid checked, samples finite, >= 0
     check_range("noise_mean_photons", noise_mean_photons, (0.0, MAX_NOISE_PHOTONS), "(]")
+    try:
+        noise_mean_photons = float(noise_mean_photons)
+    except TypeError:  # an array or sequence of means
+        raise ValueError(f"noise_mean_photons: takes one number, got {noise_mean_photons}") from None
     if rng is None:
         raise ValueError("Poisson noise requires an explicit rng seed or Generator")
     # noise_mean_photons * ideal below must not overflow; in Python floats an overflow is inf, not a warning
     top = peak if isinstance(peak, float) else float(np.max(peak, initial=0.0))
-    if not math.isfinite(float(noise_mean_photons) * top):
+    if not math.isfinite(noise_mean_photons * top):
         raise ValueError(f"arm_ratio times a projection is too large for noise_mean_photons {noise_mean_photons:g}: "
                          f"the ideal peak {top:.3e} times the photons overflows")
     # the Poisson mean; a zero peak has an all-zero ideal trace, which is divided by 1 instead
     ideal *= noise_mean_photons
     ideal /= peak + (peak == 0.0)
     ideal[...] = np.random.default_rng(rng).poisson(ideal)  # the counts, cast as astype(float) casts
-    return FringeTrace._trusted(delta, ideal, float(noise_mean_photons))
+    return FringeTrace._trusted((delta, ideal, noise_mean_photons))
 
 
 class FringeFit(NamedTuple):

@@ -13,15 +13,14 @@ between the analyzer pair), and ``phi`` (rotation of the analyzer pair).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import QubitState, check_range, symmetrize, wrap_angle
+from .core import QubitState, Record, check_range, symmetrize, wrap_angle
 
-TWO_PI = 2.0 * math.pi
 # the domain [low, high) of each angle (deg) of the family
 ANGLES_DEG = {"theta": (0.0, 180.0), "chi": (0.0, 360.0), "phi": (0.0, 360.0)}
 
@@ -34,26 +33,24 @@ class InsufficientData(ValueError):
     """Not enough measured points inside the theory curve's range."""
 
 
-@dataclass(frozen=True)
-class TripletParams:
-    """Angles of the standard-triplet family, in degrees: numbers, or numpy
-    arrays that broadcast together (make_states and make_triplet then return arrays)."""
+class TripletParams(Record, namedtuple("TripletParams", "theta_deg chi_deg phi_deg")):
+    """Angles of the standard-triplet family, in degrees: numbers, or numpy arrays (a list or
+    tuple as its array) that broadcast together (make_states and make_triplet then return arrays)."""
 
-    theta_deg: float
-    chi_deg: float
-    phi_deg: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        theta, chi, phi = self.theta_deg, self.chi_deg, self.phi_deg
-        if isinstance(theta, np.ndarray) or isinstance(chi, np.ndarray) or isinstance(phi, np.ndarray):
+    def __new__(cls, theta_deg, chi_deg, phi_deg):
+        theta_deg = check_range("theta_deg", theta_deg, ANGLES_DEG["theta"])
+        chi_deg = check_range("chi_deg", chi_deg, ANGLES_DEG["chi"])
+        phi_deg = check_range("phi_deg", phi_deg, ANGLES_DEG["phi"])
+        fields = theta_deg, chi_deg, phi_deg
+        if isinstance(theta_deg, np.ndarray) or isinstance(chi_deg, np.ndarray) or isinstance(phi_deg, np.ndarray):
             try:
-                np.broadcast_shapes(np.shape(theta), np.shape(chi), np.shape(phi))
+                np.broadcast_shapes(*map(np.shape, fields))
             except ValueError:
-                shapes = ", ".join(str(np.shape(x)) for x in (theta, chi, phi))
+                shapes = ", ".join(str(np.shape(x)) for x in fields)
                 raise ValueError(f"theta_deg, chi_deg, phi_deg: shapes {shapes} do not broadcast") from None
-        check_range("theta_deg", theta, ANGLES_DEG["theta"])
-        check_range("chi_deg", chi, ANGLES_DEG["chi"])
-        check_range("phi_deg", phi, ANGLES_DEG["phi"])
+        return tuple.__new__(cls, fields)
 
 
 def _anchor_parts(theta, m=math, cx=complex):
@@ -105,10 +102,10 @@ def analytic_total_phase(theta_deg, chi_deg, phi_deg):
     """Qutrit three-vertex phase of the standard triplet: sum of the two
     qubit phases.  Principal-branch value in (-2pi, 2pi); broadcasts.
     ValueError naming the angle for a theta outside [0, 180) (an empty theta
-    array too), or a NaN or +-inf chi or phi, in a scalar or any element."""
+    array too), a complex angle, or a NaN or +-inf chi or phi, in a scalar or any element."""
     check_range("theta_deg", theta_deg, ANGLES_DEG["theta"])
     for name, x in ("chi_deg", chi_deg), ("phi_deg", phi_deg):
-        if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        if not (math.isfinite(x) if isinstance(x, float) else np.isrealobj(x) and np.isfinite(x).all()):
             check_range(name, x, (-math.inf, math.inf), "()")
     t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
     # chi modulo 720, its period, lest a huge chi swamp phi
@@ -130,13 +127,12 @@ def total_phase_continuous(theta_deg, chi_deg, phi_deg):
     th, ph = np.radians(np.asarray(theta_deg, dtype=float)), np.radians(np.asarray(phi_deg, dtype=float))
     kappa = np.cos(th) * np.cos(np.radians(np.fmod(chi_deg, 720.0)) / 2.0)
     arg = np.arctan2(np.sin(th) * np.sin(ph), kappa + np.cos(ph))
-    arg = arg + TWO_PI * np.rint((ph - arg) / TWO_PI)
-    out = base - TWO_PI * np.rint((base + 2.0 * arg) / TWO_PI)
+    arg = arg + math.tau * np.rint((ph - arg) / math.tau)
+    out = base - math.tau * np.rint((base + 2.0 * arg) / math.tau)
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class PhaseJump:
+class PhaseJump(NamedTuple):
     """One rapid 2pi-multiple change of the unwrapped curve."""
 
     phi_center_deg: float
@@ -144,8 +140,7 @@ class PhaseJump:
     width_deg: float
 
 
-@dataclass(frozen=True)
-class PhaseCurve:
+class PhaseCurve(NamedTuple):
     """Unwrapped phase samples over a phi grid, plus jump diagnostics."""
 
     theta_deg: float
@@ -185,7 +180,7 @@ def _phi_at_level(th: float, kappa: float, level) -> np.ndarray:
     roots = np.array([base, math.pi - base]) - np.arctan2(b, a)
     radius = (kappa + np.cos(roots)) * np.cos(psi) + math.sin(th) * np.sin(roots) * np.sin(psi)
     phi = np.where(radius[0] >= radius[1], roots[0], roots[1])
-    return np.degrees(phi + TWO_PI * np.rint((psi - phi) / TWO_PI))
+    return np.degrees(phi + math.tau * np.rint((psi - phi) / math.tau))
 
 
 def _jump_windows(th: float, kappa: float, lo: float, hi: float):
@@ -255,8 +250,12 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
     if (grid[1:] <= grid[:-1]).any():
         raise ValueError("phi grid must be strictly increasing")
 
-    th = math.radians(theta_deg)
-    kappa = math.cos(th) * math.cos(math.radians(math.fmod(chi_deg, 720.0)) / 2.0)
+    try:
+        th = math.radians(theta_deg)
+        kappa = math.cos(th) * math.cos(math.radians(math.fmod(chi_deg, 720.0)) / 2.0)
+    except TypeError:  # an array or sequence of angles
+        name, value = ("theta_deg", theta_deg) if np.ndim(theta_deg) else ("chi_deg", chi_deg)
+        raise ValueError(f"{name}: takes one number, got {value}") from None
     # The jump windows need only the grid ends, which refined rows keep: one curve evaluation
     # covers grid and window bounds, one _phi_at_level call refined and 10%/90% jump levels.
     centers, bounds = _jump_windows(th, kappa, float(grid[0]), float(grid[-1]))
@@ -329,8 +328,8 @@ def fit_offset(measured, theory: PhaseCurve) -> OffsetFit:
     x = np.where(lifted < n, x, 0.0)
     prefix = np.zeros_like(x)
     np.cumsum(x[..., :-1], axis=-1, out=prefix[..., 1:])
-    sums = x.sum(-1, keepdims=True) + TWO_PI * lifted
-    squares = np.sum(x * x, -1, keepdims=True) + 2.0 * TWO_PI * prefix + TWO_PI**2 * lifted
+    sums = x.sum(-1, keepdims=True) + math.tau * lifted
+    squares = np.sum(x * x, -1, keepdims=True) + 2.0 * math.tau * prefix + math.tau**2 * lifted
     cost = np.where(lifted < n, squares - sums * sums / n, np.inf)
     c_best = np.take_along_axis(sums, np.argmin(cost, -1)[..., None], -1) / n
     rms = np.sqrt(np.sum(np.where(inside, wrap_angle(resid - c_best) ** 2, 0.0), -1) / count)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,7 +36,6 @@ from .eraser import (
     projection_chain_amplitude,
 )
 from .triplet import (
-    TWO_PI,
     TripletParams,
     analytic_total_phase,
     fit_offset,
@@ -72,8 +70,7 @@ class Measurement(NamedTuple):
         return f"{self.value}{self.over and '/' + self.over} {self.name} (>= {self.bound:g})"
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     passed: bool
@@ -200,7 +197,7 @@ def criterion_jump_law() -> list[Measurement]:
         if len(rises) == len(expected):
             n_ok += 1
             center_err += list(np.abs(centers - expected))
-            rise_err += list(np.abs(rises + 2.0 * TWO_PI / len(rises)))
+            rise_err += list(np.abs(rises + 2.0 * math.tau / len(rises)))
     return [
         Measurement("with the expected jump count", n_ok, 4, "4 curves", upper=False),
         Measurement("max center err (deg)", np.max(center_err, initial=0.0), 0.1, f"{len(center_err)} jumps"),
@@ -356,7 +353,7 @@ def criterion_figure_reproduction() -> list[Measurement]:
     """All figure panels present; every curve changes by exactly 4pi in
     magnitude per 360 deg (1e-6) and stays continuous (steps < pi/2)."""
     curves = [curve for _, curve in figures.figure_curves()]
-    net_err = [abs(abs(c.net_change_rad) - 2.0 * TWO_PI) for c in curves]
+    net_err = [abs(abs(c.net_change_rad) - 2.0 * math.tau) for c in curves]
     steps = [np.max(np.abs(np.diff(c.gamma_rad))) for c in curves]
     over = f"{len(curves)} curves"
     return [

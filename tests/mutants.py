@@ -70,6 +70,10 @@ MUTANTS = [
      ("eraser.py", "np.arctan2(x, z) / 4.0", "np.arctan2(x, z) / 2.0")),
     ("chain: V row from psi3's plate",
      ("eraser.py", "v_plate[..., 1, :]", "h_plate[..., 1, :]")),
+    ("`Record._make` builds the tuple unchecked",
+     ("core.py", "return cls(*fields)", "return tuple.__new__(cls, fields)")),
+    ("`WaveplateSetting` keeps the angle without `% 180`",
+     ("eraser.py", "float(angle) % 180.0", "float(angle)")),
 ]
 
 

@@ -4,7 +4,6 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 report; ``triphase verify`` prints the same lines.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -167,7 +166,7 @@ def test_nan_curves_fail(monkeypatch):
     # every jump and phase NaN, with the jump counts kept: the worst values are NaN
     def nan_curve(curve):
         nan_jumps = [PhaseJump(math.nan, math.nan, math.nan) for _ in curve.jumps]
-        return dataclasses.replace(curve, gamma_rad=np.full_like(curve.gamma_rad, math.nan), jumps=nan_jumps)
+        return curve._replace(gamma_rad=np.full_like(curve.gamma_rad, math.nan), jumps=nan_jumps)
 
     sweep, panels = verify.sweep_phi, figures.figure_curves
     monkeypatch.setattr(verify, "sweep_phi", lambda *args: nan_curve(sweep(*args)))

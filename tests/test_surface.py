@@ -88,3 +88,18 @@ def test_no_module_uses_a_private_name_of_another():
                     and node.value.id in modules and _private(node.attr)):
                 problems.append(f"{path.name}:{node.lineno} reaches {node.value.id}.{node.attr}")
     assert not problems
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a named tuple: core.Record for the checked ones, typing.NamedTuple for the rest
+    problems = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            problems += [f"{path.name}:{node.lineno} imports {m}" for m in modules if m.split(".")[0] == "dataclasses"]
+    assert not problems
