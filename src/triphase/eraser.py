@@ -47,8 +47,11 @@ class WaveplateSetting(Record, namedtuple("WaveplateSetting", "kind angle_deg"))
     __slots__ = ()
 
     def __new__(cls, kind, angle_deg):
-        if kind not in _RETARDANCE:
-            raise ValueError(f"kind must be 'quarter' or 'half', got {kind!r}")
+        try:
+            if kind not in _RETARDANCE:
+                raise TypeError
+        except TypeError:  # an unknown kind, or one that cannot be a key, such as a list
+            raise ValueError(f"kind must be 'quarter' or 'half', got {kind!r}") from None
         angle = check_range("angle_deg", angle_deg, (-math.inf, math.inf), "()")
         try:
             return tuple.__new__(cls, (kind, float(angle) % 180.0))

@@ -33,6 +33,16 @@ class InsufficientData(ValueError):
     """Not enough measured points inside the theory curve's range."""
 
 
+def _real(name, value):
+    """``value`` as a float array; a ValueError naming it if complex, where numpy warns or raises TypeError."""
+    try:
+        if isinstance(value, np.ndarray) and value.dtype.kind == "c":
+            raise TypeError
+        return np.asarray(value, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must be real, got {value}") from None
+
+
 class TripletParams(Record, namedtuple("TripletParams", "theta_deg chi_deg phi_deg")):
     """Angles of the standard-triplet family, in degrees: numbers, or numpy arrays (a list or
     tuple as its array) that broadcast together (make_states and make_triplet then return arrays)."""
@@ -92,8 +102,12 @@ def make_triplet(p: TripletParams):
     """The standard triplet: two coincident-pair states and the symmetrized pair.
     The anchor pair of the last scalar theta is kept for the next; no result depends on this."""
     if isinstance(p.theta_deg, np.ndarray) or isinstance(p.chi_deg, np.ndarray) or isinstance(p.phi_deg, np.ndarray):
-        psi1, psi2, psi3, psi3_mirror = make_states(p)
-        return symmetrize(psi1, psi1), symmetrize(psi2, psi2), symmetrize(psi3, psi3_mirror)
+        psi1, _, psi3, psi3_mirror = make_states(p)
+        s1 = symmetrize(psi1, psi1)
+        # psi2 = conj(psi1) and only s1's middle part is not real: symmetrize(psi2, psi2) but for a zero's sign
+        s2 = s1.copy()
+        np.conjugate(s1[..., 1], out=s2[..., 1])
+        return s1, s2, symmetrize(psi3, psi3_mirror)
     psi3, psi3_mirror = map(QubitState._trusted, _analyzer_parts(p.chi_deg, p.phi_deg))
     return (*_anchor_pair(p.theta_deg, math.copysign(1.0, p.theta_deg)), symmetrize(psi3, psi3_mirror))
 
@@ -158,7 +172,7 @@ class PhaseCurve(NamedTuple):
         looked up in ascending phi, which spares np.interp a binary search per point and changes no value."""
         flat = np.asarray(phi_deg, dtype=float).ravel()
         order, out = np.argsort(flat), np.empty(flat.size)
-        out[order] = np.interp(flat[order], self.phi_deg, self.gamma_rad)
+        out[order] = np.interp(flat.take(order), self.phi_deg, self.gamma_rad)
         return out.reshape(np.shape(phi_deg))
 
 
@@ -174,11 +188,12 @@ def _phi_at_level(th: float, kappa: float, level) -> np.ndarray:
     th is theta in radians.  Vectorized over ``level``.
     """
     psi = -0.5 * np.asarray(level, dtype=float)
-    a, b = math.sin(th) * np.cos(psi), -np.sin(psi)
+    sin_th, cos_psi, sin_psi = math.sin(th), np.cos(psi), np.sin(psi)
+    a, b = sin_th * cos_psi, -sin_psi
     # a sin(phi) + b cos(phi) = hypot(a, b) sin(phi + atan2(b, a))
-    base = np.arcsin(np.clip(kappa * np.sin(psi) / np.hypot(a, b), -1.0, 1.0))
+    base = np.arcsin(np.clip(kappa * sin_psi / np.hypot(a, b), -1.0, 1.0))
     roots = np.array([base, math.pi - base]) - np.arctan2(b, a)
-    radius = (kappa + np.cos(roots)) * np.cos(psi) + math.sin(th) * np.sin(roots) * np.sin(psi)
+    radius = (kappa + np.cos(roots)) * cos_psi + sin_th * np.sin(roots) * sin_psi
     phi = np.where(radius[0] >= radius[1], roots[0], roots[1])
     return np.degrees(phi + math.tau * np.rint((psi - phi) / math.tau))
 
@@ -242,7 +257,7 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
     """
     check_range("theta_deg", theta_deg, ANGLES_DEG["theta"], "()")  # theta = 0 has no curve to sweep
     check_range("chi_deg", chi_deg, (-math.inf, math.inf), "()")  # taken modulo 720 below
-    grid = np.asarray(phi_grid_deg, dtype=float)
+    grid = _real("phi grid", phi_grid_deg)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("phi grid must be one-dimensional with at least 3 points")
     if not np.isfinite(grid).all():
@@ -257,7 +272,7 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
         name, value = ("theta_deg", theta_deg) if np.ndim(theta_deg) else ("chi_deg", chi_deg)
         raise ValueError(f"{name}: takes one number, got {value}") from None
     # The jump windows need only the grid ends, which refined rows keep: one curve evaluation
-    # covers grid and window bounds, one _phi_at_level call refined and 10%/90% jump levels.
+    # covers grid and window bounds, one _phi_at_level call 10%/90% jump levels and refined ones.
     centers, bounds = _jump_windows(th, kappa, float(grid[0]), float(grid[-1]))
     gamma = total_phase_continuous(theta_deg, chi_deg, np.concatenate([grid, bounds]))
     gamma, ends = gamma[: grid.size], gamma[grid.size :]
@@ -266,18 +281,20 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
     steps = gamma[1:] - gamma[:-1]
     size = np.abs(steps)
     wide = (size >= quarter).nonzero()[0]
-    # an odd count: a step a rounding short of a multiple of 2 pi (from
-    # phi = 0 to a pole at a symmetry point of the curve, such as phi = 180
-    # at chi = 0) would otherwise split into steps of pi/2 up to rounding
-    parts = ((size[wide] // quarter).astype(int) + 1) | 1
-    inside = parts - 1  # the levels k / parts of interval i, k = 1 .. parts - 1
-    i, n = wide.repeat(inside), parts.repeat(inside)
-    k = np.arange(1, i.size + 1) - (inside.cumsum() - inside).repeat(inside)
-    levels = np.concatenate([gamma[i] + steps[i] * k / n, ends[:-1] + 0.1 * rises, ends[:-1] + 0.9 * rises])
-    phi = _phi_at_level(th, kappa, levels)
-    nodes = grid
+    nodes, levels = grid, [ends[:-1] + 0.1 * rises, ends[:-1] + 0.9 * rises]
     if wide.size:
-        nodes = np.unique(np.concatenate([grid, np.clip(phi[: i.size], grid[i], grid[i + 1])]))
+        # an odd count: a step a rounding short of a multiple of 2 pi (from
+        # phi = 0 to a pole at a symmetry point of the curve, such as phi = 180
+        # at chi = 0) would otherwise split into steps of pi/2 up to rounding
+        parts = ((size[wide] // quarter).astype(int) + 1) | 1
+        inside = parts - 1  # the levels k / parts of interval i, k = 1 .. parts - 1
+        i, n = wide.repeat(inside), parts.repeat(inside)
+        k = np.arange(1, i.size + 1) - (inside.cumsum() - inside).repeat(inside)
+        levels.append(gamma[i] + steps[i] * k / n)
+    phi = _phi_at_level(th, kappa, np.concatenate(levels))
+    phi_10, phi_90, crossings = phi[: rises.size], phi[rises.size : 2 * rises.size], phi[2 * rises.size :]
+    if wide.size:
+        nodes = np.unique(np.concatenate([grid, np.clip(crossings, grid[i], grid[i + 1])]))
         gamma = total_phase_continuous(theta_deg, chi_deg, nodes)
         size = np.abs(gamma[1:] - gamma[:-1])
     worst = float(size.max())
@@ -286,7 +303,6 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
             f"a step of {worst:.3e} rad remains after inserting level crossings; the curve "
             f"is too steep to resolve in floating point (theta_deg = {theta_deg})"
         )
-    phi_10, phi_90 = phi[i.size :].reshape(2, -1)
     jumps = [PhaseJump(c, float(r), float(w)) for c, r, w in zip(centers, rises, phi_90 - phi_10)]
     return PhaseCurve(theta_deg=theta_deg, chi_deg=chi_deg, phi_deg=nodes, gamma_rad=gamma, jumps=jumps)
 
@@ -308,7 +324,7 @@ def fit_offset(measured, theory: PhaseCurve) -> OffsetFit:
     the global minimum.  The offset is reported in (-pi, pi] together with the residual RMS.  Raises
     InsufficientData if any set has fewer than 2 points inside.
     """
-    arr = np.asarray(measured, dtype=float)
+    arr = _real("measured", measured)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError("measured must be a sequence of (phi_deg, gamma_rad) pairs")
     if not np.isfinite(arr).all():

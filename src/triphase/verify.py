@@ -117,14 +117,16 @@ def _criterion(index: int, name: str, seconds_limit: float = math.inf):
     return register
 
 
-def _off_poles(margin: float, *grid):
-    """The grid points whose phi (deg, last) is at least ``margin`` from both
-    formula poles 180 +- chi/2 (chi second to last), circularly."""
+def _off_poles(margin: float, *axes):
+    """The grid over ``axes``, one flat array per axis, less the points whose phi (deg, last) is within ``margin``
+    of a pole 180 +- chi/2 (chi in [0, 360), second to last), circularly; no value is negative, so fmod is %."""
+    chi, phi = np.asarray(axes[-2])[:, None], np.asarray(axes[-1])
     keep = True
-    for pole in ((180.0 - grid[-2] / 2.0) % 360.0, (180.0 + grid[-2] / 2.0) % 360.0):
-        d = np.abs(grid[-1] - pole) % 360.0
+    for pole in (np.fmod(180.0 - chi / 2.0, 360.0), np.fmod(180.0 + chi / 2.0, 360.0)):
+        d = np.fmod(np.abs(phi - pole), 360.0)
         keep = keep & (np.minimum(d, 360.0 - d) >= margin)
-    return [x[keep] for x in grid]
+    index = np.flatnonzero(np.broadcast_to(keep, [len(x) for x in axes]))
+    return [x.take(index) for x in np.meshgrid(*axes, indexing="ij")]
 
 
 def _first_passing(draw, passes, n: int):
@@ -150,34 +152,32 @@ def criterion_oracle_equivalence() -> list[Measurement]:
 
     Grid: theta in {2,10,20,45,90} x chi in {0,60,120,180} x phi step 1 deg,
     excluding 0.5 deg around the formula poles.  At theta = 90 the two anchor
-    states are orthogonal, so the direct route is singular for every phi
-    (its UndefinedPhase guard fires); those samples are tallied, required to
-    occur only there, and the theta = 90 analytic values are validated
-    against the direct route just inside the singular point instead.
+    states are orthogonal, so the direct route (three_vertex_phase's product and
+    phase, the product made once) is singular for every phi; those samples are
+    tallied, required to occur only there, and the theta = 90 analytic values
+    are validated against the direct route just inside the singular point instead.
     """
-    theta, chi, phi = _off_poles(0.5, *np.meshgrid(
-        (2.0, 10.0, 20.0, 45.0, 90.0), (0.0, 60.0, 120.0, 180.0), np.arange(0.0, 360.0, 1.0), indexing="ij"
-    ))
+    theta, chi, phi = _off_poles(0.5, (2.0, 10.0, 20.0, 45.0, 90.0), (0.0, 60.0, 120.0, 180.0), np.arange(360.0))
     s1, s2, s3 = make_triplet(TripletParams(theta, chi, phi))
-    singular = np.abs(inner(s1, s3) * inner(s3, s2) * inner(s2, s1)) < PHASE_SINGULAR_TOL
-    ok = ~singular
-    direct = three_vertex_phase(s1[ok], s2[ok], s3[ok])
-    diff = np.abs(wrap_angle(analytic_total_phase(theta[ok], chi[ok], phi[ok]) - direct))
+    anchors = inner(s2, s1)
+    product = inner(s1, s3) * inner(s3, s2) * anchors
+    singular = np.abs(product) < PHASE_SINGULAR_TOL
+    ok = np.flatnonzero(~singular)
+    direct = wrap_angle(np.angle(product.take(ok)))
+    diff = np.abs(wrap_angle(analytic_total_phase(theta.take(ok), chi.take(ok), phi.take(ok)) - direct))
 
     # theta = 90 row: validate the analytic values in the limit.  The offset
     # keeps the anchor overlap above the UndefinedPhase guard while bounding
     # the curve shift by |dgamma/dtheta| <= 2, i.e. below ~4e-5 rad.
     eps = 1e-3
-    chi, phi = _off_poles(
-        1.0, *np.meshgrid((0.0, 60.0, 120.0, 180.0), np.arange(3.0, 360.0, 7.0), indexing="ij")
-    )
+    chi, phi = _off_poles(1.0, (0.0, 60.0, 120.0, 180.0), np.arange(3.0, 360.0, 7.0))
     lim = three_vertex_phase(*make_triplet(TripletParams(90.0 - eps, chi, phi)))
     lim_err = np.abs(wrap_angle(analytic_total_phase(90.0, chi, phi) - lim))
     return [
         Measurement("max|diff|", np.max(diff, initial=0.0), 1e-9, f"{diff.size} samples"),
         Measurement("singular skips", int(singular.sum()), 1, upper=False),
         # only the theta = 90 row, whose anchors are orthogonal, may be singular
-        Measurement("max|<s2|s1>| at the skips", np.max(np.abs(inner(s2, s1)[singular]), initial=0.0), 1e-12),
+        Measurement("max|<s2|s1>| at the skips", np.max(np.abs(anchors[singular]), initial=0.0), 1e-12),
         Measurement("theta=90 limit err", np.max(lim_err), 1e-4, f"{lim_err.size} samples"),
     ]
 

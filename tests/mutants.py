@@ -58,8 +58,15 @@ MUTANTS = [
     ("`gamma_at` values left in sorted order",
      ("triplet.py", "out[order] = np.interp(", "out[:] = np.interp(")),
     ("`wrap_angle` of arrays into [-pi, pi)",
-     ("core.py", "w = math.pi - np.mod(math.pi - np.asarray(x, dtype=float), 2.0 * math.pi)",
-      "w = np.mod(np.asarray(x, dtype=float) + math.pi, 2.0 * math.pi) - math.pi")),
+     ("core.py", "r = np.fmod(math.pi - np.asarray(x, dtype=float), 2.0 * math.pi)",
+      "r = np.fmod(np.asarray(x, dtype=float) + math.pi, 2.0 * math.pi)"),
+     ("core.py", "return float(math.pi - r) if np.ndim(x) == 0 else math.pi - r",
+      "return float(r - math.pi) if np.ndim(x) == 0 else r - math.pi")),
+    ("`wrap_angle` of arrays without the lift of a negative remainder",
+     ("core.py", "r += (r < 0.0) * (2.0 * math.pi)", "r += 0.0 * (2.0 * math.pi)")),
+    ("`gamma_at` gathers by the sort order where it should scatter",
+     ("triplet.py", "out[order] = np.interp(flat.take(order), self.phi_deg, self.gamma_rad)",
+      "out = np.interp(flat.take(order), self.phi_deg, self.gamma_rad)[order]")),
     ("Poisson mean x0.5",
      ("eraser.py", "ideal *= noise_mean_photons", "ideal *= 0.5 * noise_mean_photons")),
     ("`check_range`: a `[` opens its end",

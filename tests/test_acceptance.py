@@ -134,6 +134,22 @@ def test_batched_draws_match_per_draw_loops():
     assert np.array_equal(fit_offset(np.stack([phis, gammas], -1), theory).offset_rad, want)
 
 
+def test_off_poles_equals_the_modulo_mask_on_the_full_grid():
+    # the mask is made over chi and phi alone, with np.fmod; the reference takes % on the full grid
+    rng = np.random.default_rng(43)
+    chis = np.concatenate([[0.0, 60.0, 120.0, 180.0, 359.5], rng.uniform(0.0, 360.0, 6)])
+    phis = np.concatenate([np.arange(0.0, 360.0, 0.5), rng.uniform(0.0, 360.0, 300)])
+    for margin, axes in ((0.5, (rng.uniform(1.0, 90.0, 3), chis, phis)), (1.0, (chis, phis)), (7.25, (chis, phis))):
+        grid = np.meshgrid(*axes, indexing="ij")
+        keep = True
+        for pole in ((180.0 - grid[-2] / 2.0) % 360.0, (180.0 + grid[-2] / 2.0) % 360.0):
+            d = np.abs(grid[-1] - pole) % 360.0
+            keep = keep & (np.minimum(d, 360.0 - d) >= margin)
+        got = verify._off_poles(margin, *axes)
+        assert len(got) == len(axes) and 0 < got[0].size < keep.size
+        assert all(g.tobytes() == x[keep].tobytes() for g, x in zip(got, grid))
+
+
 def test_sign_flip_mutation_is_caught(monkeypatch):
     # a sign error in the analytic curve formulas must trip the oracle check
     def flipped_total(theta, chi, phi):

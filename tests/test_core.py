@@ -141,6 +141,23 @@ class TestStates:
         assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
         assert abs(wrap_angle(0.3) - 0.3) < 1e-15
 
+    def test_array_wrap_keeps_the_bits_of_np_mod(self):
+        # the array path lifts np.fmod's negative remainders by 2 pi; np.mod's form is the reference
+        rng = np.random.default_rng(31)
+        scales = 10.0 ** np.arange(-300.0, 301.0, 20.0)
+        x = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+            np.arange(-40, 41) * math.pi,
+            (rng.uniform(-1.0, 1.0, (scales.size, 400)) * scales[:, None]).ravel(),
+        ])
+        want = math.pi - np.mod(math.pi - x, 2.0 * math.pi)
+        got = wrap_angle(x)
+        assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+        for value in (-0.0, -math.pi, 3.0 * math.pi, -5e-324):  # a 0-d array takes the array path, and gives a float
+            got = wrap_angle(np.array(value))
+            assert type(got) is float and got == math.pi - np.mod(math.pi - value, 2.0 * math.pi)
+        assert np.isnan(wrap_angle(np.array([math.nan, 1.0]))[0])
+
 
 class _ThreeVertexLaws:
     """The laws of three_vertex_phase in dimension ``d``; each subclass fixes d."""

@@ -81,6 +81,11 @@ class TestWaveplates:
         with pytest.raises(ValueError, match="^angle_deg: must not be empty$"):
             WaveplateSetting("half", np.array([]))
 
+    def test_a_kind_that_cannot_be_a_key_is_named(self):
+        for kind in (["half"], {"half": 1}, "third", None):
+            with pytest.raises(ValueError, match=re.escape(f"kind must be 'quarter' or 'half', got {kind!r}")):
+                WaveplateSetting(kind, 10)
+
     def test_hwp_at_zero(self):
         w = waveplate_matrix(WaveplateSetting("half", 0))
         assert np.allclose(w @ H.vec, H.vec, atol=1e-15)

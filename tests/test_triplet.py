@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,22 @@ class TestMakeTriplet:
         zero = make_triplet(TripletParams(0.0, 60.0, 35.0))
         negative_zero = make_triplet(TripletParams(-0.0, 60.0, 35.0))
         assert zero == negative_zero and np.array(zero).tobytes() != np.array(negative_zero).tobytes()
+
+    def test_array_triplet_equals_symmetrize_of_make_states(self):
+        # an array s2 is s1 with its middle part conjugated, not symmetrize(psi2, psi2): the same bits,
+        # but for the sign of a zero where a part underflows (theta below about 1e-150 degrees)
+        rng = np.random.default_rng(24)
+        theta = np.concatenate([[0.0, -0.0, 5e-324, 1e-300, 90.0], rng.uniform(0.0, 180.0, 3000),
+                                10.0 ** rng.uniform(-300.0, 2.0, 300)])
+        params = TripletParams(theta, rng.uniform(0.0, 360.0, theta.size), rng.uniform(0.0, 360.0, theta.size))
+        psi1, psi2, psi3, psi3_mirror = make_states(params)
+        want = symmetrize(psi1, psi1), symmetrize(psi2, psi2), symmetrize(psi3, psi3_mirror)
+        got = make_triplet(params)
+        assert [g.dtype for g in got] == [w.dtype for w in want] and [g.shape for g in got] == [w.shape for w in want]
+        assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
+        assert np.array_equal(got[1], want[1])  # +0 and -0 compare equal
+        normal = theta > 1e-100
+        assert got[1][normal].tobytes() == want[1][normal].tobytes()
 
     def test_a_scan_at_one_theta_builds_its_anchor_pair_once(self):
         kept = triphase.triplet._anchor_pair
@@ -344,6 +361,13 @@ class TestSweep:
             sweep_phi(10, 120, [0.0, 10.0])
         with pytest.raises(ValueError):
             sweep_phi(10, 120, [0.0, 10.0, 5.0])
+
+    def test_complex_grid_is_a_value_error_naming_it(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's ComplexWarning included
+            for grid in (np.array([0, 1, 2j]), [0, 1, 2j], np.linspace(0, 360, 5) + 0j):
+                with pytest.raises(ValueError, match=r"^phi grid must be real, got "):
+                    sweep_phi(10, 120, grid)
 
     def test_rejects_non_finite_inputs(self):
         grid = np.linspace(0, 360, 721)
@@ -541,7 +565,8 @@ class TestGammaAt:
         ])
         rng.shuffle(points)
         rows = points.reshape(6, 10)
-        for phi in (points[5], float(points[6]), points, rows, rows[:, ::3], list(points)):
+        batch = rng.uniform(-10.0, 370.0, (500, 50))  # criterion 9's trials: one ascending order over all rows
+        for phi in (points[5], float(points[6]), points, rows, rows[:, ::3], list(points), batch):
             want = np.interp(phi, curve.phi_deg, curve.gamma_rad)
             got = curve.gamma_at(phi)
             assert got.shape == np.shape(want)
@@ -553,6 +578,14 @@ class TestGammaAt:
 class TestFitOffset:
     def _theory(self):
         return sweep_phi(10, 120, np.linspace(0, 360, 721))
+
+    def test_complex_measured_is_a_value_error_naming_it(self):
+        theory = self._theory()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's ComplexWarning included
+            for measured in ([[0, 1j], [1, 2]], np.array([[0, 1j], [1, 2]]), [(0.0, 1.0), (1.0, 2.0 + 0j)]):
+                with pytest.raises(ValueError, match=r"^measured must be real, got "):
+                    fit_offset(measured, theory)
 
     def test_sorted_lookup_keeps_the_bits_of_np_interp(self, monkeypatch):
         # the oracle is the same fit reading the curve with np.interp, in the points' own order
