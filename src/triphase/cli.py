@@ -45,10 +45,10 @@ from .triplet import ANGLES_DEG, GridTooCoarse, PhaseCurve, TripletParams, make_
 _MAX_COUNT = 10**6  # grid points of --phi and --delta-steps
 # the fewest samples of the default delta grid that span a fringe fit
 _MIN_DELTA_STEPS = next(n for n in range(3, _MAX_COUNT) if default_delta_grid(n)[-1] >= MIN_FRINGE_SPAN_RAD)
-# the curve falls by 4 pi per 360 degrees and every output step stays below
-# pi/2, so rows grow with the span; 1e5 periods keep them near the count cap.
-# The ends keep within as many degrees of 0, where the phase of one period is
-# still good to ~1e-11 rad (at 3.6e13 degrees only to ~4e-5 rad).
+# the curve falls by 4 pi per 360 degrees and every output step stays below pi/2, so rows grow with the span;
+# 1e5 periods keep them near the count cap.  The ends keep within as many degrees of 0, where the worst error
+# measured of analytic_total_phase is 6.5e-10 rad (at |phi| ~ 3e7; 4.5e-15 rad for phi in [0, 360)), and
+# total_phase_continuous stays within 3-6 ulp of its own magnitude.
 _MAX_PHI_SPAN_DEG = 3.6e7
 
 
@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
         print(res.line())
     n_pass = sum(r.passed for r in results)
     total = sum(r.seconds for r in results)
-    print(f"{n_pass}/{len(results)} criteria passed in {total:.1f}s")
+    print(f"{n_pass}/{len(results)} criteria passed in {total * 1e3:.1f} ms")
     return 0 if n_pass == len(results) else 1
 
 

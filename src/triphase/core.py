@@ -184,13 +184,16 @@ qutrit_inner = inner
 def three_vertex_phase(a, b, c):
     """arg <a|c><c|b><b|a>, in (-pi, pi], for qubits, qutrits or any dimension.
 
-    Invariant under global phases of any argument, cyclic in (a, b, c), and
-    antisymmetric under swapping any two arguments.  Raises UndefinedPhase
-    when some pair is (numerically) orthogonal, for any element of a batch.
+    Invariant under global phases of any argument, cyclic in (a, b, c), and antisymmetric under swapping any two
+    arguments.  Raises UndefinedPhase when some pair is (numerically) orthogonal, for any element of a batch; its
+    message names the argument that holds a NaN or +-inf, if one does.
     """
     product = inner(a, c) * inner(c, b) * inner(b, a)
     smallest = np.min(np.abs(product), initial=np.inf)
     if not smallest >= PHASE_SINGULAR_TOL:  # NaN fails too
+        for name, v in ("a", a), ("b", b), ("c", c):
+            if not np.isfinite(v).all():
+                raise UndefinedPhase(f"{name}: must be finite, got {v}")
         raise UndefinedPhase(
             f"overlap product magnitude {smallest:.3e} is below "
             f"{PHASE_SINGULAR_TOL:.0e}; the phase is singular"

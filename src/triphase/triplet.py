@@ -76,19 +76,30 @@ def _analyzer_parts(chi, phi, m=math, cx=complex):
     return (cx(m.cos(a)), cx(m.sin(a))), (cx(m.cos(b)), cx(-m.sin(b)))
 
 
+def _array_states(p: TripletParams):
+    """make_states of array params, psi1/psi2 on theta's shape and psi3/psi3_mirror on the broadcast of chi and phi:
+    the trigonometry runs once per distinct angle, not once per point of the grid."""
+    theta, chi, phi = map(np.asarray, p)
+    return [np.stack(x, -1) for x in _anchor_parts(theta, np, np.asarray) + _analyzer_parts(chi, phi, np, np.asarray)]
+
+
+def _on_grid(states, p: TripletParams):
+    """Each state written once into the shape of the grid of ``p``, or kept where it has that shape."""
+    shape = np.broadcast(*p).shape
+    return tuple(s if s.shape[:-1] == shape else np.broadcast_to(s, (*shape, s.shape[-1])).copy() for s in states)
+
+
 def make_states(p: TripletParams):
     """The four constituent qubit states (psi1, psi2, psi3, psi3_mirror).
 
     psi1/psi2 are the +-i anchor pair at half-angle theta from H; psi3 and
     its mirror are linear polarizations at chi/4 +- phi/2 from horizontal
-    (the mirror with the opposite V sign).  Arrays of shape (..., 2) for array params.
+    (the mirror with the opposite V sign).  Arrays of shape (..., 2) for array params; for numbers,
+    wrappers built unchecked from the unit parts of finite angles, made complex once.
     """
-    theta, chi, phi = p.theta_deg, p.chi_deg, p.phi_deg
-    m, cx, state = math, complex, QubitState._trusted  # unit parts of finite angles, made complex once
-    if isinstance(theta, np.ndarray) or isinstance(chi, np.ndarray) or isinstance(phi, np.ndarray):
-        theta, chi, phi = np.broadcast_arrays(theta, chi, phi)
-        m, cx, state = np, np.asarray, lambda parts: np.stack(parts, -1)
-    return tuple(map(state, (*_anchor_parts(theta, m, cx), *_analyzer_parts(chi, phi, m, cx))))
+    if isinstance(p.theta_deg, np.ndarray) or isinstance(p.chi_deg, np.ndarray) or isinstance(p.phi_deg, np.ndarray):
+        return _on_grid(_array_states(p), p)
+    return tuple(map(QubitState._trusted, (*_anchor_parts(p.theta_deg), *_analyzer_parts(p.chi_deg, p.phi_deg))))
 
 
 @lru_cache(maxsize=1)
@@ -102,12 +113,12 @@ def make_triplet(p: TripletParams):
     """The standard triplet: two coincident-pair states and the symmetrized pair.
     The anchor pair of the last scalar theta is kept for the next; no result depends on this."""
     if isinstance(p.theta_deg, np.ndarray) or isinstance(p.chi_deg, np.ndarray) or isinstance(p.phi_deg, np.ndarray):
-        psi1, _, psi3, psi3_mirror = make_states(p)
+        psi1, _, psi3, psi3_mirror = _array_states(p)
         s1 = symmetrize(psi1, psi1)
         # psi2 = conj(psi1) and only s1's middle part is not real: symmetrize(psi2, psi2) but for a zero's sign
         s2 = s1.copy()
         np.conjugate(s1[..., 1], out=s2[..., 1])
-        return s1, s2, symmetrize(psi3, psi3_mirror)
+        return _on_grid((s1, s2, symmetrize(psi3, psi3_mirror)), p)
     psi3, psi3_mirror = map(QubitState._trusted, _analyzer_parts(p.chi_deg, p.phi_deg))
     return (*_anchor_pair(p.theta_deg, math.copysign(1.0, p.theta_deg)), symmetrize(psi3, psi3_mirror))
 

@@ -11,7 +11,7 @@ hold or run only on some machines).  The first row is the tree as it is,
 which must pass both.  It exits 1 if the tree fails either, or if some
 mutant fails no tier-1 test that runs on every machine.
 
-Run from the repository root (it takes some 8 minutes):
+Run from the repository root (it takes some 15 minutes):
 
     python tests/mutants.py
 
@@ -81,6 +81,17 @@ MUTANTS = [
      ("core.py", "return cls(*fields)", "return tuple.__new__(cls, fields)")),
     ("`WaveplateSetting` keeps the angle without `% 180`",
      ("eraser.py", "float(angle) % 180.0", "float(angle)")),
+    ("criterion 1's pole index from chi/4, not chi/2",
+     ("verify.py", "(np.fmod(180.0 - chi / 2.0, 360.0), np.fmod(180.0 + chi / 2.0, 360.0))",
+      "(np.fmod(180.0 - chi / 4.0, 360.0), np.fmod(180.0 + chi / 4.0, 360.0))")),
+    ("grid path: the analyzer pair with phi's sign flipped (psi3_mirror at chi/4 + phi/2)",
+     ("triplet.py", "_analyzer_parts(chi, phi, np, np.asarray)", "_analyzer_parts(chi, -phi, np, np.asarray)")),
+    ("grid path: every state left on the shape of its own angles",
+     ("triplet.py", "s if s.shape[:-1] == shape else", "s if True else")),
+    ("`three_vertex_phase` names b for c and c for b",
+     ("core.py", '("a", a), ("b", b), ("c", c)', '("a", a), ("b", c), ("c", b)')),
+    ("`three_vertex_phase` names a NaN argument but not an infinite one",
+     ("core.py", "if not np.isfinite(v).all():", "if np.isnan(v).any():")),
 ]
 
 

@@ -135,7 +135,8 @@ def test_batched_draws_match_per_draw_loops():
 
 
 def test_off_poles_equals_the_modulo_mask_on_the_full_grid():
-    # the mask is made over chi and phi alone, with np.fmod; the reference takes % on the full grid
+    # the mask is made over chi and phi alone, with np.fmod, and indexes the grid of the broadcast axes;
+    # the reference takes % on the full meshgrid
     rng = np.random.default_rng(43)
     chis = np.concatenate([[0.0, 60.0, 120.0, 180.0, 359.5], rng.uniform(0.0, 360.0, 6)])
     phis = np.concatenate([np.arange(0.0, 360.0, 0.5), rng.uniform(0.0, 360.0, 300)])
@@ -145,9 +146,10 @@ def test_off_poles_equals_the_modulo_mask_on_the_full_grid():
         for pole in ((180.0 - grid[-2] / 2.0) % 360.0, (180.0 + grid[-2] / 2.0) % 360.0):
             d = np.abs(grid[-1] - pole) % 360.0
             keep = keep & (np.minimum(d, 360.0 - d) >= margin)
-        got = verify._off_poles(margin, *axes)
-        assert len(got) == len(axes) and 0 < got[0].size < keep.size
-        assert all(g.tobytes() == x[keep].tobytes() for g, x in zip(got, grid))
+        shaped, index = verify._off_poles(margin, *axes)
+        assert [x.tobytes() for x in shaped] == [np.asarray(x).tobytes() for x in axes]
+        assert all(g.tobytes() == x.tobytes() for g, x in zip(np.broadcast_arrays(*shaped), grid))
+        assert 0 < index.size < keep.size and index.tobytes() == np.flatnonzero(keep).tobytes()
 
 
 def test_sign_flip_mutation_is_caught(monkeypatch):

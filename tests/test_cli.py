@@ -365,7 +365,7 @@ def test_curve_and_fringe_commands_import_neither_verify_nor_figures(tmp_path):
 
 
 def _strip_timing(report: str) -> str:
-    return re.sub(r" \[[0-9.]+s\]", "", re.sub(r" in [0-9.]+s$", "", report, flags=re.M))
+    return re.sub(r" \[[0-9.]+ ms\]", "", re.sub(r" in [0-9.]+ ms$", "", report, flags=re.M))
 
 
 class TestVerify:

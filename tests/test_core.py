@@ -191,6 +191,19 @@ class _ThreeVertexLaws:
         with pytest.raises(UndefinedPhase):
             three_vertex_phase(batch, batch, batch)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+    def test_a_non_finite_argument_is_named(self, bad):
+        # the failure names the argument that holds it, not a singular triple; the passing path checks nothing
+        # more.  An inf makes numpy warn inside the products (the open non-finite half of the array primitives).
+        states = random_states(np.random.default_rng(self.gauge_seed), (4, 3), self.d)
+        for k, name in enumerate("abc"):
+            for component in range(self.d):
+                args = states.copy()
+                args[2, k, component] = bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    with pytest.raises(UndefinedPhase, match=f"^{name}: must be finite, got "):
+                        three_vertex_phase(args[:, 0], args[:, 1], args[:, 2])
+
     def test_gauge_invariance(self):
         rng = np.random.default_rng(self.gauge_seed)
         for _ in range(1000):

@@ -13,6 +13,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from triphase import cli  # noqa: E402
 from triphase.core import (  # noqa: E402
@@ -36,7 +37,14 @@ from triphase.eraser import (  # noqa: E402
     solve_waveplates,
     waveplate_matrix,
 )
-from triphase.triplet import TripletParams, fit_offset, make_triplet, sweep_phi, total_phase_continuous  # noqa: E402
+from triphase.triplet import (  # noqa: E402
+    TripletParams,
+    fit_offset,
+    make_states,
+    make_triplet,
+    sweep_phi,
+    total_phase_continuous,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +86,32 @@ def test_mirror_law(theta, chi):
     expected = sorted((c + 180.0) % 360.0 for c in centers)
     for got, want in zip(mirror_centers, expected):
         assert min(abs(got - want), 360.0 - abs(got - want)) < 1e-9
+
+
+@st.composite
+def angle_axes(draw):
+    """theta, chi and phi (deg) on shapes that broadcast together, with size-1 axes and 0-d arrays among
+    them, each an array or its list (a float where 0-d); at least one an array, so the array path runs."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=3, min_dims=0, max_dims=3, max_side=4)).input_shapes
+    axes = []
+    for shape, high in zip(shapes, (180.0, 360.0, 360.0)):
+        angle = st.one_of(st.floats(0.0, high, exclude_max=True), st.just(-0.0))
+        x = np.reshape(draw(st.lists(angle, min_size=math.prod(shape), max_size=math.prod(shape))), shape)
+        axes.append(x.tolist() if draw(st.booleans()) else x)
+    if not any(isinstance(x, np.ndarray) for x in axes):
+        axes[0] = np.asarray(axes[0])
+    return axes
+
+
+@PROPERTY
+@given(angle_axes())
+def test_states_on_broadcastable_axes_equal_those_of_the_broadcast_angles(axes):
+    # each state is made on the shape of its own angles and then written to the grid: the bits, dtype
+    # and shape of the states made from the angles broadcast to the grid first
+    params, grid = TripletParams(*axes), TripletParams(*np.broadcast_arrays(*axes))
+    for got, want in ((make_states(params), make_states(grid)), (make_triplet(params), make_triplet(grid))):
+        assert [(g.dtype, g.shape) for g in got] == [(w.dtype, w.shape) for w in want]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 odd_pi = st.integers(-10**6, 10**6).map(lambda k: (2 * k + 1) * math.pi)

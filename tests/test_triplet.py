@@ -92,6 +92,20 @@ class TestMakeStates:
         assert np.allclose(bloch_from_qubit(psi1).vec, [0, 1, 0], atol=1e-15)
         assert np.allclose(bloch_from_qubit(psi2).vec, [0, -1, 0], atol=1e-15)
 
+    def test_array_states_equal_the_wrappers_of_each_setting(self):
+        # element by element, array params give the states and the triplet of the scalar path, within the
+        # batch-vs-scalar bound (numpy's sin and cos need not round as math's do); on broadcastable axes too
+        theta, chi, phi = np.random.default_rng(25).uniform(0.0, (180.0, 360.0, 360.0), (60, 3)).T
+        for angles in (theta, chi, phi), (theta[:4, None, None], chi[:5, None], phi[:6]):
+            params = TripletParams(*angles)
+            batch = make_states(params) + make_triplet(params)
+            settings = np.broadcast_arrays(*angles)
+            assert all(b.shape[:-1] == settings[0].shape for b in batch)
+            for index in np.ndindex(settings[0].shape):
+                single = TripletParams(*(float(x[index]) for x in settings))
+                for got, want in zip(batch, make_states(single) + make_triplet(single)):
+                    assert np.allclose(got[index], want.vec, rtol=0, atol=1e-15)
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             TripletParams(-1, 0, 0)
@@ -168,19 +182,23 @@ class TestMakeTriplet:
 
     def test_array_triplet_equals_symmetrize_of_make_states(self):
         # an array s2 is s1 with its middle part conjugated, not symmetrize(psi2, psi2): the same bits,
-        # but for the sign of a zero where a part underflows (theta below about 1e-150 degrees)
+        # but for the sign of a zero where a part underflows (theta below about 1e-150 degrees); on
+        # broadcastable axes each state is made on the shape of its own angles, then written to the grid's
         rng = np.random.default_rng(24)
         theta = np.concatenate([[0.0, -0.0, 5e-324, 1e-300, 90.0], rng.uniform(0.0, 180.0, 3000),
                                 10.0 ** rng.uniform(-300.0, 2.0, 300)])
-        params = TripletParams(theta, rng.uniform(0.0, 360.0, theta.size), rng.uniform(0.0, 360.0, theta.size))
-        psi1, psi2, psi3, psi3_mirror = make_states(params)
-        want = symmetrize(psi1, psi1), symmetrize(psi2, psi2), symmetrize(psi3, psi3_mirror)
-        got = make_triplet(params)
-        assert [g.dtype for g in got] == [w.dtype for w in want] and [g.shape for g in got] == [w.shape for w in want]
-        assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
-        assert np.array_equal(got[1], want[1])  # +0 and -0 compare equal
-        normal = theta > 1e-100
-        assert got[1][normal].tobytes() == want[1][normal].tobytes()
+        chi, phi = rng.uniform(0.0, 360.0, theta.size), rng.uniform(0.0, 360.0, theta.size)
+        axes = np.concatenate([theta[:5], theta[5::20]])[:, None, None], chi[:12, None], phi[:30]
+        for theta, chi, phi in (theta, chi, phi), axes:
+            params = TripletParams(theta, chi, phi)
+            psi1, psi2, psi3, psi3_mirror = make_states(params)
+            want = symmetrize(psi1, psi1), symmetrize(psi2, psi2), symmetrize(psi3, psi3_mirror)
+            got = make_triplet(params)
+            assert [(g.dtype, g.shape) for g in got] == [(w.dtype, w.shape) for w in want]
+            assert got[0].tobytes() == want[0].tobytes() and got[2].tobytes() == want[2].tobytes()
+            assert np.array_equal(got[1], want[1])  # +0 and -0 compare equal
+            normal = np.broadcast_to(theta > 1e-100, got[1].shape[:-1])
+            assert got[1][normal].tobytes() == want[1][normal].tobytes()
 
     def test_a_scan_at_one_theta_builds_its_anchor_pair_once(self):
         kept = triphase.triplet._anchor_pair
