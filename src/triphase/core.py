@@ -58,6 +58,13 @@ def check_range(name, value, bounds, ends="[)"):
     raise ValueError(f"{name}: must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {most if above else least}")
 
 
+def check_number(name, value, bounds, ends="[)"):
+    """check_range of one number, as a float; an array, list or tuple, one-element too, is refused by name."""
+    if isinstance(number := check_range(name, value, bounds, ends), (float, int)) or not np.ndim(number):
+        return float(number)  # a Python number meets no numpy call
+    raise ValueError(f"{name}: takes one number, got {value}")
+
+
 def wrap_angle(x):
     """Wrap an angle (or array of angles) into (-pi, pi].  An array gives pi - np.mod(pi - x, 2 pi) bit for bit: the
     remainder of np.mod is that of np.fmod, lifted by 2 pi where negative, without np.mod's floor division."""

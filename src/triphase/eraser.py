@@ -23,7 +23,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import QubitState, Record, SymmetricState, bloch_from_qubit, check_range, inner, symmetrize, wrap_angle
+from .core import (QubitState, Record, SymmetricState, bloch_from_qubit, check_number, check_range, inner,
+                   symmetrize, wrap_angle)
 
 MIN_FRINGE_SPAN_RAD = 0.9 * math.tau  # the samples of a fit span at least this much
 MIN_VISIBILITY = 1e-3  # a fringe fainter than this has no meaningful phase
@@ -52,11 +53,7 @@ class WaveplateSetting(Record, namedtuple("WaveplateSetting", "kind angle_deg"))
                 raise TypeError
         except TypeError:  # an unknown kind, or one that cannot be a key, such as a list
             raise ValueError(f"kind must be 'quarter' or 'half', got {kind!r}") from None
-        angle = check_range("angle_deg", angle_deg, (-math.inf, math.inf), "()")
-        try:
-            return tuple.__new__(cls, (kind, float(angle) % 180.0))
-        except TypeError:  # an array or sequence of angles
-            raise ValueError(f"angle_deg: takes one number, got {angle_deg}") from None
+        return tuple.__new__(cls, (kind, check_number("angle_deg", angle_deg, (-math.inf, math.inf), "()") % 180.0))
 
 
 def _jones(retardance: complex, angle_rad):
@@ -301,11 +298,7 @@ def fringe_trace(
     ideal *= ideal  # in place here and below, on this call's own array
     if noise_mean_photons is None:
         return FringeTrace._trusted((delta, ideal, None))  # float64 grid checked, samples finite, >= 0
-    check_range("noise_mean_photons", noise_mean_photons, (0.0, MAX_NOISE_PHOTONS), "(]")
-    try:
-        noise_mean_photons = float(noise_mean_photons)
-    except TypeError:  # an array or sequence of means
-        raise ValueError(f"noise_mean_photons: takes one number, got {noise_mean_photons}") from None
+    noise_mean_photons = check_number("noise_mean_photons", noise_mean_photons, (0.0, MAX_NOISE_PHOTONS), "(]")
     if rng is None:
         raise ValueError("Poisson noise requires an explicit rng seed or Generator")
     # noise_mean_photons * ideal below must not overflow; in Python floats an overflow is inf, not a warning

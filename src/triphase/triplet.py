@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import QubitState, Record, check_range, symmetrize, wrap_angle
+from .core import QubitState, Record, check_number, check_range, symmetrize, wrap_angle
 
 # the domain [low, high) of each angle (deg) of the family
 ANGLES_DEG = {"theta": (0.0, 180.0), "chi": (0.0, 360.0), "phi": (0.0, 360.0)}
@@ -31,16 +31,6 @@ class GridTooCoarse(RuntimeError):
 
 class InsufficientData(ValueError):
     """Not enough measured points inside the theory curve's range."""
-
-
-def _real(name, value):
-    """``value`` as a float array; a ValueError naming it if complex, where numpy warns or raises TypeError."""
-    try:
-        if isinstance(value, np.ndarray) and value.dtype.kind == "c":
-            raise TypeError
-        return np.asarray(value, dtype=float)
-    except TypeError:
-        raise ValueError(f"{name} must be real, got {value}") from None
 
 
 class TripletParams(Record, namedtuple("TripletParams", "theta_deg chi_deg phi_deg")):
@@ -133,8 +123,8 @@ def analytic_total_phase(theta_deg, chi_deg, phi_deg):
         if not (math.isfinite(x) if isinstance(x, float) else np.isrealobj(x) and np.isfinite(x).all()):
             check_range(name, x, (-math.inf, math.inf), "()")
     t = np.tan(np.radians(np.asarray(theta_deg, dtype=float)) / 2.0)
-    # chi modulo 720, its period, lest a huge chi swamp phi
-    quarter, half = np.fmod(np.asarray(chi_deg, dtype=float), 720.0) / 4.0, np.asarray(phi_deg, dtype=float) / 2.0
+    # both exactly modulo 720, a period: a huge chi would swamp phi, a huge phi lose bits in radians before tan
+    quarter, half = (np.fmod(np.asarray(x, dtype=float), 720.0) / k for x, k in ((chi_deg, 4.0), (phi_deg, 2.0)))
     a, b = np.radians(quarter + half), np.radians(quarter - half)
     out = -2.0 * np.arctan(t * np.tan(a)) + 2.0 * np.arctan(t * np.tan(b))
     return float(out) if np.ndim(out) == 0 else out
@@ -266,22 +256,15 @@ def sweep_phi(theta_deg: float, chi_deg: float, phi_grid_deg) -> PhaseCurve:
     step is below pi/2.  GridTooCoarse is raised if a step of pi/2 or more
     is still left (curves too steep for floating point, theta close to 0).
     """
-    check_range("theta_deg", theta_deg, ANGLES_DEG["theta"], "()")  # theta = 0 has no curve to sweep
-    check_range("chi_deg", chi_deg, (-math.inf, math.inf), "()")  # taken modulo 720 below
-    grid = _real("phi grid", phi_grid_deg)
+    theta_deg = check_number("theta_deg", theta_deg, ANGLES_DEG["theta"], "()")  # theta = 0 has no curve to sweep
+    chi_deg = check_number("chi_deg", chi_deg, (-math.inf, math.inf), "()")  # taken modulo 720 below
+    grid = np.asarray(check_range("phi grid", phi_grid_deg, (-math.inf, math.inf), "()"), dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("phi grid must be one-dimensional with at least 3 points")
-    if not np.isfinite(grid).all():
-        raise ValueError("phi grid must be finite")
     if (grid[1:] <= grid[:-1]).any():
         raise ValueError("phi grid must be strictly increasing")
-
-    try:
-        th = math.radians(theta_deg)
-        kappa = math.cos(th) * math.cos(math.radians(math.fmod(chi_deg, 720.0)) / 2.0)
-    except TypeError:  # an array or sequence of angles
-        name, value = ("theta_deg", theta_deg) if np.ndim(theta_deg) else ("chi_deg", chi_deg)
-        raise ValueError(f"{name}: takes one number, got {value}") from None
+    th = math.radians(theta_deg)
+    kappa = math.cos(th) * math.cos(math.radians(math.fmod(chi_deg, 720.0)) / 2.0)
     # The jump windows need only the grid ends, which refined rows keep: one curve evaluation
     # covers grid and window bounds, one _phi_at_level call 10%/90% jump levels and refined ones.
     centers, bounds = _jump_windows(th, kappa, float(grid[0]), float(grid[-1]))
@@ -335,11 +318,9 @@ def fit_offset(measured, theory: PhaseCurve) -> OffsetFit:
     the global minimum.  The offset is reported in (-pi, pi] together with the residual RMS.  Raises
     InsufficientData if any set has fewer than 2 points inside.
     """
-    arr = _real("measured", measured)
+    arr = np.asarray(check_range("measured", measured, (-math.inf, math.inf), "()"), dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError("measured must be a sequence of (phi_deg, gamma_rad) pairs")
-    if not np.isfinite(arr).all():
-        raise ValueError("measured must hold finite values only")
     phi, gam = arr[..., 0], arr[..., 1]
     inside = (phi >= theory.phi_deg[0]) & (phi <= theory.phi_deg[-1])
     count = inside.sum(-1)

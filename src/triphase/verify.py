@@ -14,6 +14,7 @@ import time
 from typing import Callable, NamedTuple
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; here its import is not timed as part of the first criterion that draws
 
 from . import figures
 from .core import (

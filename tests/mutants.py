@@ -80,7 +80,7 @@ MUTANTS = [
     ("`Record._make` builds the tuple unchecked",
      ("core.py", "return cls(*fields)", "return tuple.__new__(cls, fields)")),
     ("`WaveplateSetting` keeps the angle without `% 180`",
-     ("eraser.py", "float(angle) % 180.0", "float(angle)")),
+     ("eraser.py", '"()") % 180.0', '"()")')),
     ("criterion 1's pole index from chi/4, not chi/2",
      ("verify.py", "(np.fmod(180.0 - chi / 2.0, 360.0), np.fmod(180.0 + chi / 2.0, 360.0))",
       "(np.fmod(180.0 - chi / 4.0, 360.0), np.fmod(180.0 + chi / 4.0, 360.0))")),
@@ -92,6 +92,13 @@ MUTANTS = [
      ("core.py", '("a", a), ("b", b), ("c", c)', '("a", a), ("b", c), ("c", b)')),
     ("`three_vertex_phase` names a NaN argument but not an infinite one",
      ("core.py", "if not np.isfinite(v).all():", "if np.isnan(v).any():")),
+    ("`check_number` without its `ndim` test",
+     ("core.py", "(float, int)) or not np.ndim(number):", "(float, int)) or True:")),
+    ("`sweep_phi` grid order test with `<` for `<=`",
+     ("triplet.py", "if (grid[1:] <= grid[:-1]).any():", "if (grid[1:] < grid[:-1]).any():")),
+    ("`sweep_phi` grid ends closed, `[]` for `()`",
+     ("triplet.py", 'check_range("phi grid", phi_grid_deg, (-math.inf, math.inf), "()")',
+      'check_range("phi grid", phi_grid_deg, (-math.inf, math.inf), "[]")')),
 ]
 
 

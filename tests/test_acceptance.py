@@ -5,10 +5,15 @@ report; ``triphase verify`` prints the same lines.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triphase
 from triphase import figures, verify
 from triphase.core import inner, normalize, random_states, symmetrize
 from triphase.eraser import default_delta_grid, fringe_trace
@@ -194,3 +199,22 @@ def test_nan_curves_fail(monkeypatch):
             result = spec.run()
             assert not result.passed, result.line()
             assert "nan" in result.detail, result.line()
+
+
+def test_verify_loads_numpy_random_on_import_and_the_package_does_not():
+    # numpy (2 and later) imports numpy.random on first use: loaded by the import of
+    # triphase.verify, it is timed in no criterion; import triphase alone adds nothing to numpy's own
+    env = dict(os.environ, PYTHONPATH=str(Path(triphase.__file__).resolve().parents[1]))
+    code = (
+        "import sys, numpy\n"
+        "loaded = lambda: 'numpy.random' in sys.modules\n"
+        "with_numpy = loaded()\n"
+        "import triphase\n"
+        "with_package = loaded()\n"
+        "import triphase.verify\n"
+        "print(with_numpy, with_package, loaded())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, with_package, with_verify = proc.stdout.split()
+    assert with_package == with_numpy and with_verify == "True"

@@ -3,8 +3,9 @@
 The checked records (the three states, ``TripletParams``, ``WaveplateSetting``
 and ``FringeTrace``) are named tuples on ``core.Record``: every way to build
 one, ``_make``, ``_replace`` and unpickling too, runs its checks.  The inputs
-that take one number or one state name the field when given an array, and
-``check_range`` names a complex value.
+that take one number or one state name the field when given an array (a
+one-element array too, on every numpy), and ``check_range`` names a complex
+value.
 """
 
 import math
@@ -13,20 +14,16 @@ import pickle
 import numpy as np
 import pytest
 
-from triphase.core import BlochVector, QubitState, SymmetricState, check_range
+from triphase import core
+from triphase.core import BlochVector, QubitState, SymmetricState, check_number, check_range
 from triphase.eraser import FringeTrace, WaveplateSetting, default_delta_grid, fringe_trace, solve_waveplates
 from triphase.triplet import TripletParams, analytic_total_phase, make_states, make_triplet, sweep_phi
 
 DELTA = default_delta_grid(20)
 GRID = np.linspace(0.0, 360.0, 9)
 
-# Where one number is due, numpy 2 refuses a one-element array; older numpy
-# converts it to its element, so there it is that number and nothing fails.
-try:
-    float(np.ones(1))
-    NOT_ONE_NUMBER = [np.ones(2), [1.0, 2.0], (1.0, 2.0)]
-except TypeError:
-    NOT_ONE_NUMBER = [np.ones(1), np.ones(2), [1.0, 2.0], (1.0, 2.0)]
+# where one number is due, a one-element array is refused too, whatever numpy's float() takes
+NOT_ONE_NUMBER = [np.ones(1), np.ones(2), [1.0], [1.0, 2.0], (1.0, 2.0)]
 
 
 def checked_records():
@@ -121,6 +118,15 @@ def test_inputs_of_one_number_take_a_zero_d_array():
     scalar = fringe_trace(s1, s2, s3, DELTA, noise_mean_photons=1e3, rng=1)
     assert zero_d.mean_photons == 1e3 and np.array_equal(zero_d.intensity, scalar.intensity)
     assert QubitState(np.array(1.0), np.array(0.0)) == (1, 0)
+
+
+def test_one_python_number_is_checked_without_numpy(monkeypatch):
+    monkeypatch.setattr(core, "np", None)  # any numpy call would raise AttributeError
+    for value in (3, 2.5, True):
+        got = check_number("x", value, (0.0, 10.0))
+        assert type(got) is float and got == value
+    with pytest.raises(ValueError, match=r"^x: must lie in \(0, 10\], got 0.0$"):
+        check_number("x", 0.0, (0.0, 10.0), "(]")
 
 
 def test_complex_values_are_rejected_by_name():

@@ -312,6 +312,21 @@ class TestAnalyticPhase:
                 with pytest.raises(ValueError, match=re.escape(f"theta_deg: must lie in [0, 180), got {bad}")):
                     f(theta, 120.0, np.array([0.0, 60.0, 90.0]))
 
+    # (theta, chi, phi, the closed form evaluated by hand at 50 digits on these floats, rounded to a float)
+    HUGE_PHI = [
+        (5.210485664475038, 322.34003496480625, -34315587.69795145, -1.272192030154627),
+        (48.21173995097804, 9.056113811402998, 35329487.823448196, -5.35248606803355),
+        (35.16058658042889, 250.16007388548752, 34601664.125705376, -1.5719183718403558),
+        (9.829975272795565, 46.67082563900695, -7061965.490442179, -3.0854166126907208),
+    ]
+
+    def test_huge_phi_is_reduced_exactly(self):
+        # unreduced, phi / 2 in radians lost its low bits before tan reduced it: errors up to 4.8e-10 rad here
+        theta, chi, phi, want = map(np.array, zip(*self.HUGE_PHI))
+        assert np.abs(analytic_total_phase(theta, chi, phi) - want).max() < 1e-13
+        for point in self.HUGE_PHI:
+            assert abs(analytic_total_phase(*point[:3]) - point[3]) < 1e-13
+
     def test_empty_angles(self):
         # an empty theta is a range check with nothing to check; empty chi or phi arrays broadcast
         for f in (analytic_total_phase, total_phase_continuous):
@@ -375,16 +390,17 @@ class TestSweep:
             sweep_phi(0.0, 120, grid)
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^phi grid must be one-dimensional with at least 3 points$"):
             sweep_phi(10, 120, [0.0, 10.0])
-        with pytest.raises(ValueError):
-            sweep_phi(10, 120, [0.0, 10.0, 5.0])
+        for grid in ([0.0, 10.0, 5.0], [0.0, 10.0, 10.0, 20.0]):  # a repeated point is not increasing either
+            with pytest.raises(ValueError, match="^phi grid must be strictly increasing$"):
+                sweep_phi(10, 120, grid)
 
     def test_complex_grid_is_a_value_error_naming_it(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's ComplexWarning included
             for grid in (np.array([0, 1, 2j]), [0, 1, 2j], np.linspace(0, 360, 5) + 0j):
-                with pytest.raises(ValueError, match=r"^phi grid must be real, got "):
+                with pytest.raises(ValueError, match=r"^phi grid: must be real, got "):
                     sweep_phi(10, 120, grid)
 
     def test_rejects_non_finite_inputs(self):
@@ -392,9 +408,10 @@ class TestSweep:
         for chi in (math.nan, math.inf):
             with pytest.raises(ValueError, match="chi_deg"):
                 sweep_phi(10, chi, grid)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="phi grid"):
-                sweep_phi(10, 120, [0.0, 10.0, bad])
+        for bad in (math.nan, math.inf, -math.inf):
+            for grid in ([0.0, 10.0, bad], np.array([bad, 0.0, 10.0])):
+                with pytest.raises(ValueError, match=re.escape(f"phi grid: must lie in (-inf, inf), got {bad}")):
+                    sweep_phi(10, 120, grid)
 
     @pytest.mark.parametrize("chi", [720e12 + 120.0, 1e16, 1e300, -1e300])
     def test_huge_chi_is_taken_modulo_its_period(self, chi):
@@ -602,7 +619,7 @@ class TestFitOffset:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's ComplexWarning included
             for measured in ([[0, 1j], [1, 2]], np.array([[0, 1j], [1, 2]]), [(0.0, 1.0), (1.0, 2.0 + 0j)]):
-                with pytest.raises(ValueError, match=r"^measured must be real, got "):
+                with pytest.raises(ValueError, match=r"^measured: must be real, got "):
                     fit_offset(measured, theory)
 
     def test_sorted_lookup_keeps_the_bits_of_np_interp(self, monkeypatch):
@@ -638,10 +655,10 @@ class TestFitOffset:
     def test_non_finite_measurement_rejected(self):
         theory = self._theory()
         phis = np.linspace(5, 355, 40)
-        for column, bad in ((1, np.nan), (1, np.inf), (0, np.nan)):
+        for column, bad in ((1, np.nan), (1, np.inf), (0, np.nan), (0, -np.inf)):
             measured = np.column_stack([phis, np.interp(phis, theory.phi_deg, theory.gamma_rad)])
             measured[7, column] = bad
-            with pytest.raises(ValueError, match="^measured"):
+            with pytest.raises(ValueError, match=re.escape(f"measured: must lie in (-inf, inf), got {bad}")):
                 fit_offset(measured, theory)
         with pytest.raises(ValueError, match="^measured must be a sequence of"):
             fit_offset(np.column_stack([phis, phis, phis]), theory)
